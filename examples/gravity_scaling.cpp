@@ -7,10 +7,12 @@
 //   backends: pm_pp | fmm | treepm
 
 #include <cstdio>
+#include <map>
 #include <string>
 
 #include "core/solver.hpp"
 #include "util/config.hpp"
+#include "util/timer.hpp"
 
 int main(int argc, char** argv) {
   hacc::util::Config cli;
@@ -48,15 +50,23 @@ int main(int argc, char** argv) {
               n, to_string(cfg.gravity_backend), cfg.fmm_theta, cfg.leaf_size);
 
   const double t0 = hacc::util::wtime();
-  solver.run();
+  solver.initialize();
+  std::map<std::string, double> stages;  // stage walls summed over the steps
+  for (int s = 0; s < cfg.n_steps; ++s) {
+    for (const auto& [name, seconds] : solver.step().phases) {
+      stages[name] += seconds;
+    }
+  }
   const double elapsed = hacc::util::wtime() - t0;
 
-  std::printf("\n%-10s %12s %8s\n", "timer", "seconds", "calls");
-  for (const char* name : {"grav_pm", "grav_fmm", "grav_pp", "grav_far"}) {
-    const auto e = solver.timers().get(name);
-    if (e.calls == 0) continue;
-    std::printf("%-10s %12.4f %8llu\n", name, e.seconds,
-                static_cast<unsigned long long>(e.calls));
+  std::printf("\n%-12s %12s\n", "stage", "seconds");
+  for (const auto& [name, seconds] : stages) {
+    std::printf("%-12s %12.4f\n", name.c_str(), seconds);
+  }
+  std::printf("\n%-12s %12s %8s\n", "kernel", "seconds", "calls");
+  for (const auto& [name, t] : solver.queue().time_by_kernel()) {
+    std::printf("%-12s %12.4f %8llu\n", name.c_str(), t.seconds,
+                static_cast<unsigned long long>(t.calls));
   }
 
   hacc::xsycl::OpCounters ops;

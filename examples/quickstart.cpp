@@ -1,6 +1,6 @@
 // Quickstart: a miniature CRK-HACC adiabatic simulation — two particle
 // species, Zel'dovich initial conditions at z=200, three KDK steps — then a
-// dump of the paper's per-kernel timers.
+// dump of the per-kernel launch times (the paper's per-kernel timers).
 //
 //   ./examples/quickstart [key=value ...]   e.g. np=10 steps=5 threads=8
 
@@ -39,10 +39,10 @@ int main(int argc, char** argv) {
                 d.thermal_energy);
   }
 
-  std::printf("\nPer-kernel timers (the paper's upGeo/upCor/upBar* set):\n");
-  for (const auto& [name, entry] : solver.timers().entries()) {
+  std::printf("\nPer-kernel launch times (the paper's upGeo/upCor/upBar* set):\n");
+  for (const auto& [name, t] : solver.queue().time_by_kernel()) {
     std::printf("  %-10s %8.3f ms  (%llu calls)\n", name.c_str(),
-                entry.seconds * 1e3, static_cast<unsigned long long>(entry.calls));
+                t.seconds * 1e3, static_cast<unsigned long long>(t.calls));
   }
 
   const auto d = solver.diagnostics();

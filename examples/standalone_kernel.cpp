@@ -101,8 +101,7 @@ int main(int argc, char** argv) {
   const auto pipe = hacc::sph::build_pipeline(gas, popt);
 
   hacc::util::ThreadPool pool(static_cast<unsigned>(cli.get_int("threads", 0)));
-  hacc::util::TimerRegistry timers;
-  hacc::xsycl::Queue q(pool, &timers);
+  hacc::xsycl::Queue q(pool);
 
   const int repeats = static_cast<int>(cli.get_int("repeats", 3));
   std::printf("standalone %s: %zu particles, %zu leaf pairs, %s, sg %d, %d repeats\n",
@@ -117,8 +116,9 @@ int main(int argc, char** argv) {
   hacc::xsycl::OpCounters ops;
   for (const auto& s : q.history()) ops.merge(s.ops);
   std::printf("counters: %s\n", ops.summary().c_str());
-  std::printf("timer %s: %.4f s over %llu launches\n", kernel.c_str(),
-              timers.get(kernel).seconds,
-              static_cast<unsigned long long>(timers.get(kernel).calls));
+  auto times = q.time_by_kernel();
+  std::printf("kernel %s: %.4f s over %llu launches\n", kernel.c_str(),
+              times[kernel].seconds,
+              static_cast<unsigned long long>(times[kernel].calls));
   return 0;
 }

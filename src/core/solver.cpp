@@ -9,6 +9,7 @@
 
 #include "obs/trace.hpp"
 #include "util/rng.hpp"
+#include "util/timer.hpp"
 
 namespace hacc::core {
 
@@ -134,12 +135,7 @@ sph::HydroOptions hydro_options(const SimConfig& cfg, xsycl::CommVariant v) {
 }  // namespace
 
 Solver::Solver(const SimConfig& cfg, util::ThreadPool& pool)
-    : cfg_(cfg), pool_(&pool), queue_(pool, &timers_) {
-  t_tree_build_ = timers_.handle("tree_build");
-  t_grav_pm_ = timers_.handle("grav_pm");
-  t_grav_pp_ = timers_.handle("grav_pp");
-  t_grav_fmm_ = timers_.handle("grav_fmm");
-  t_grav_far_ = timers_.handle("grav_far");
+    : cfg_(cfg), pool_(&pool), queue_(pool) {
   a_ = ic::Cosmology::a_of_z(cfg_.z_init);
   const double a_final = ic::Cosmology::a_of_z(cfg_.z_final);
   da_ = (a_final - a_) / cfg_.n_steps;
@@ -484,7 +480,7 @@ void Solver::run_hydro_kernels(bool corrector) {
                   corrector ? "upBarDuF" : "upBarDu");
 }
 
-void Solver::compute_forces(bool corrector) {
+sched::RunResult Solver::compute_forces(bool corrector) {
   // One force evaluation = one propagator graph.  One combined-species
   // gather (dm then gas) feeds the WHOLE evaluation: the shared interaction
   // domain builds — or Verlet-skin-reuses — exactly one tree over it, and
@@ -520,10 +516,8 @@ void Solver::compute_forces(bool corrector) {
       engine_ != nullptr && cfg_.gravity_backend != GravityBackend::kFmm;
 
   if (!sharded_pp) {
-    chain = graph.add("tree", {chain}, [this] {
-      util::ScopedTimer t(timers_, t_tree_build_);
-      domain_->update(grav_pos_, dm_.size());
-    });
+    chain = graph.add("tree", {chain},
+                      [this] { domain_->update(grav_pos_, dm_.size()); });
   }
 
   if (engine_) {
@@ -562,8 +556,6 @@ void Solver::compute_forces(bool corrector) {
   const double g_code = 3.0 * cfg_.cosmo.omega_m / (8.0 * M_PI * a_);
   graph.add("pm", {s_assemble}, [this, g_code] {
     if (pm_) {
-      const obs::TraceSpan span("gravity.pm");
-      util::ScopedTimer t(timers_, t_grav_pm_);
       pm_->set_gravitational_constant(g_code);
       pm_->compute_forces(grav_pos_, grav_mass_d_, grav_accel_pm_);
     } else {
@@ -582,8 +574,6 @@ void Solver::compute_forces(bool corrector) {
     // direct sum, so a sharded treepm run differs from an unsharded one at
     // the multipole-acceptance error level (docs/CONFIG.md).
     graph.add("short_range", {chain}, [this, g_code] {
-      const obs::TraceSpan span("gravity.pp");
-      util::ScopedTimer t(timers_, t_grav_pp_);
       shard::PpParams pp;
       pp.poly = poly_.get();
       pp.box = static_cast<float>(cfg_.box);
@@ -594,8 +584,6 @@ void Solver::compute_forces(bool corrector) {
     });
   } else if (cfg_.gravity_backend == GravityBackend::kPmPp) {
     graph.add("short_range", {chain}, [this, g_code] {
-      const obs::TraceSpan span("gravity.pp");
-      util::ScopedTimer t(timers_, t_grav_pp_);
       run_pp_short(queue_, gravity_arrays(), domain_->all(),
                    domain_->pairs(poly_->r_cut()), *poly_, pp_options(g_code));
     });
@@ -606,22 +594,16 @@ void Solver::compute_forces(bool corrector) {
                                                               &lists] {
       const double r_cut =
           treepm ? poly_->r_cut() : std::numeric_limits<double>::infinity();
-      const obs::TraceSpan span("gravity.fmm");
-      util::ScopedTimer t(timers_, t_grav_fmm_);
       evaluator.emplace(domain_->tree(), grav_pos_, grav_mass_d_, *pool_);
       lists = evaluator->build_interactions(cfg_.fmm_theta, r_cut);
     });
     const std::size_t s_short =
         graph.add("short_range", {s_fmm}, [this, g_code, &lists] {
-          const obs::TraceSpan span("gravity.pp");
-          util::ScopedTimer t(timers_, t_grav_pp_);
           run_pp_short(queue_, gravity_arrays(), domain_->all(), lists.near,
                        *poly_, pp_options(g_code));
         });
     graph.add("far_field", {s_short}, [this, g_code, treepm, &evaluator,
                                        &lists] {
-      const obs::TraceSpan span("gravity.far");
-      util::ScopedTimer t(timers_, t_grav_far_);
       fmm::FarOptions fopt;
       fopt.box = cfg_.box;
       fopt.G = g_code;
@@ -632,18 +614,9 @@ void Solver::compute_forces(bool corrector) {
     });
   }
 
-  const sched::RunResult result = exec_->run(graph);
-  for (const sched::StageTiming& t : result.stages) {
-    if (!t.ran) continue;
-    if (t.name == "pm") {
-      pm_seconds_total_ += t.wall_seconds();
-    } else if (t.name == "sph" || t.name == "fmm_build" ||
-               t.name == "short_range" || t.name == "far_field") {
-      short_seconds_total_ += t.wall_seconds();
-    }
-  }
-  overlap_seconds_total_ += result.overlap_seconds();
+  sched::RunResult result = exec_->run(graph);
   forces_ready_ = true;
+  return result;
 }
 
 std::vector<util::Vec3d> Solver::gravity_accelerations() const {
@@ -730,11 +703,15 @@ StepStats Solver::step() {
   const domain::DomainStats dom0 = domain_->stats();
   const shard::EngineStats eng0 =
       engine_ ? engine_->stats() : shard::EngineStats{};
-  const double tree_t0 = timers_.seconds("tree_build");
-  const double pm_t0 = pm_seconds_total_;
-  const double short_t0 = short_seconds_total_;
-  const double overlap_t0 = overlap_seconds_total_;
-  if (!forces_ready_) compute_forces(false);
+  StepStats stats;
+  // Every force evaluation of this step folds its stage walls in here.
+  const auto add_evaluation = [&stats](const sched::RunResult& run) {
+    for (const sched::StageTiming& t : run.stages) {
+      if (t.ran) stats.phases[t.name] += t.wall_seconds();
+    }
+    stats.overlap_seconds += run.overlap_seconds();
+  };
+  if (!forces_ready_) add_evaluation(compute_forces(false));
   const double a0 = a_;
   const double a1 = a_ + da_;
   const double amid = 0.5 * (a0 + a1);
@@ -748,14 +725,13 @@ StepStats Solver::step() {
     drift(a0, a1);
   }
   a_ = a1;
-  compute_forces(/*corrector=*/true);
+  add_evaluation(compute_forces(/*corrector=*/true));
   {
     const obs::TraceSpan span("core.kick");
     kick(cfg_.cosmo.kick_factor(amid, a1), a1);
   }
   ++steps_taken_;
 
-  StepStats stats;
   stats.step = steps_taken_;
   stats.a0 = a0;
   stats.a1 = a1;
@@ -766,7 +742,14 @@ StepStats Solver::step() {
   stats.max_acceleration = max_acceleration();
   stats.tree_builds = static_cast<int>(domain_->stats().builds - dom0.builds);
   stats.tree_reuses = static_cast<int>(domain_->stats().reuses - dom0.reuses);
-  stats.tree_seconds = timers_.seconds("tree_build") - tree_t0;
+  const auto phase = [&stats](const char* name) {
+    const auto it = stats.phases.find(name);
+    return it == stats.phases.end() ? 0.0 : it->second;
+  };
+  stats.tree_seconds = phase("tree");
+  stats.pm_seconds = phase("pm");
+  stats.short_range_seconds = phase("sph") + phase("fmm_build") +
+                              phase("short_range") + phase("far_field");
   if (engine_) {
     // Per-shard trees count alongside the global one (which the sharded
     // pm_pp/treepm graphs no longer build; the fmm graph builds both).
@@ -781,9 +764,6 @@ StepStats Solver::step() {
     stats.shard_migrate_seconds = e.migrate_seconds - eng0.migrate_seconds;
     stats.shard_exchange_seconds = e.exchange_seconds - eng0.exchange_seconds;
   }
-  stats.pm_seconds = pm_seconds_total_ - pm_t0;
-  stats.short_range_seconds = short_seconds_total_ - short_t0;
-  stats.overlap_seconds = overlap_seconds_total_ - overlap_t0;
   const auto tally = [&stats](const ParticleSet& p, bool hydro) {
     for (std::size_t i = 0; i < p.size(); ++i) {
       const double m = p.mass[i];

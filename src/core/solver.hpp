@@ -17,6 +17,7 @@
 /// hydro forces act directly on v.
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 
@@ -31,7 +32,6 @@
 #include "sched/task_graph.hpp"
 #include "shard/engine.hpp"
 #include "sph/pipeline.hpp"
-#include "util/timer.hpp"
 #include "xsycl/queue.hpp"
 
 namespace hacc::core {
@@ -198,7 +198,13 @@ struct StepStats {
   double thermal_energy = 0.0;   ///< Σ m u (baryons)
   int tree_builds = 0;           ///< shared-domain tree rebuilds this step
   int tree_reuses = 0;           ///< Verlet-skin reuses this step
-  double tree_seconds = 0.0;     ///< wall seconds in tree build/refresh
+  /// Wall seconds per propagator stage name ("assemble", "tree", "sph",
+  /// "pm", "short_range", ...), summed over this step's force evaluations:
+  /// the one record the stage-derived fields below are computed from.
+  std::map<std::string, double> phases;
+  /// Wall seconds in the tree stage, plus the shard engine's per-shard
+  /// domain updates in a sharded run.
+  double tree_seconds = 0.0;
   double pm_seconds = 0.0;       ///< wall seconds in the propagator's pm stage
   /// Wall seconds in the tree-walk chain stages (sph + fmm build +
   /// short-range P-P + far field).
@@ -270,7 +276,6 @@ class Solver {
   ParticleSet& dm() { return dm_; }
   const ParticleSet& dm() const { return dm_; }
 
-  util::TimerRegistry& timers() { return timers_; }
   xsycl::Queue& queue() { return queue_; }
 
   /// Combined-species (dm then gas) gravity accelerations from the most
@@ -318,7 +323,8 @@ class Solver {
   Diagnostics diagnostics() const;
 
  private:
-  void compute_forces(bool corrector);
+  /// One force evaluation; the returned stage walls feed StepStats::phases.
+  sched::RunResult compute_forces(bool corrector);
   void run_hydro_kernels(bool corrector);
   void initialize_zeldovich();
   void initialize_sedov();
@@ -332,17 +338,7 @@ class Solver {
 
   SimConfig cfg_;
   util::ThreadPool* pool_;
-  util::TimerRegistry timers_;
   xsycl::Queue queue_;
-
-  // Interned timer handles (TimerRegistry::handle): the per-step force
-  // sections record through an index instead of re-interning a string name
-  // on every ScopedTimer destruction.
-  util::TimerRegistry::Handle t_tree_build_;
-  util::TimerRegistry::Handle t_grav_pm_;
-  util::TimerRegistry::Handle t_grav_pp_;
-  util::TimerRegistry::Handle t_grav_fmm_;
-  util::TimerRegistry::Handle t_grav_far_;
 
   ParticleSet dm_;
   ParticleSet gas_;
@@ -389,10 +385,6 @@ class Solver {
   // bit-identical to the pre-propagator code path.
   std::unique_ptr<sched::StageExecutor> exec_;
   bool overlap_enabled_ = false;
-  // Cumulative propagator stage walls; step() diffs them like tree_seconds.
-  double pm_seconds_total_ = 0.0;
-  double short_seconds_total_ = 0.0;
-  double overlap_seconds_total_ = 0.0;
 };
 
 }  // namespace hacc::core

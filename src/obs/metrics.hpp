@@ -12,8 +12,7 @@
 /// Handles: name lookup happens once, at registration
 /// (counter()/gauge()/histogram() intern the name and return an index);
 /// recording through a handle is a mutex acquire plus an array update — no
-/// string construction, no map lookup (the same discipline as
-/// util::TimerRegistry::handle).  reset() zeroes values but keeps every
+/// string construction, no map lookup.  reset() zeroes values but keeps every
 /// registration, so cached handles in long-lived producers (PmSolver, the
 /// runner) survive a reset between runs.
 ///

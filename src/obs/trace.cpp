@@ -180,7 +180,10 @@ TraceExportStats Tracer::write_chrome_trace(const std::string& path) const {
       ++stats.events;
     }
   }
-  std::fputs("\n]}\n", f);
+  // The loss is part of the artifact: tools/check_events.py --trace and
+  // tools/trace_report.py reject a trace whose dropped_events is non-zero.
+  std::fprintf(f, "\n],\"otherData\":{\"dropped_events\":%" PRIu64 "}}\n",
+               stats.dropped);
   const bool ok = std::fflush(f) == 0 && std::ferror(f) == 0;
   std::fclose(f);
   if (!ok) {

@@ -29,12 +29,6 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-// The kernel timers the in-run cascade ranks: the paper's SPH set plus the
-// gravity phases, whichever of them have actually run.
-constexpr const char* kCascadeKernels[] = {
-    "upGeo", "upCor",  "upBarEx", "upBarAc", "upBarAcF", "upBarDu",
-    "upBarDuF", "grav_pm", "grav_pp", "grav_fmm", "grav_far", "tree_build"};
-
 }  // namespace
 
 ScenarioRunner::ScenarioRunner(const core::SimConfig& sim, const RunOptions& opt,
@@ -346,15 +340,13 @@ void ScenarioRunner::run_diagnostics(int step) {
   rec.n_halos = halos.n_halos();
   rec.largest_halo = halos.halo_sizes.empty() ? 0 : halos.halo_sizes.front();
 
-  // The metrics cascade over the per-kernel timers: each kernel is a
+  // The metrics cascade over the per-kernel wall times: each kernel is a
   // "platform", its efficiency the best per-call time over its own — the
   // in-run view of which kernel dominates the step cost.
   metrics::EfficiencySet eff;
   eff.application = sim_.scenario;
   double best = 0.0;
-  for (const char* name : kCascadeKernels) {
-    const auto e = solver_.timers().get(name);
-    if (e.calls == 0) continue;
+  for (const auto& [name, e] : kernel_times_) {
     const double per_call = e.seconds / static_cast<double>(e.calls);
     if (per_call <= 0.0) continue;
     eff.by_platform[name] = per_call;  // seconds for now; normalized below
@@ -400,8 +392,20 @@ void ScenarioRunner::record_step_metrics(const core::StepStats& stats) {
     m.inc(m_ops_launches_);
     m.inc(m_ops_kernel_s_, s.seconds);
     m.inc(m_ops_interactions_, static_cast<double>(s.ops.interactions));
+    xsycl::KernelTime& k = kernel_times_[s.kernel];
+    k.seconds += s.seconds;
+    ++k.calls;
   }
   solver_.queue().clear_history();
+  // Stages that launch no kernel join the cascade under their stage names,
+  // one call per step.
+  for (const char* stage : {"tree", "pm", "fmm_build", "far_field"}) {
+    const auto it = stats.phases.find(stage);
+    if (it == stats.phases.end()) continue;
+    xsycl::KernelTime& k = kernel_times_[stage];
+    k.seconds += it->second;
+    ++k.calls;
+  }
   // fmm_ops() accumulates across the solver's lifetime; record the delta.
   const std::uint64_t m2p = solver_.fmm_ops().m2p_ops;
   m.inc(m_ops_m2p_, static_cast<double>(m2p - last_m2p_));
@@ -480,15 +484,24 @@ RunResult ScenarioRunner::run() {
                     "\"vmax\":%.6g,\"gmax\":%.6g,\"tree_builds\":%d,"
                     "\"tree_reuses\":%d,\"tree_s\":%.6f,"
                     "\"shard_migrated\":%lld,\"shard_ghosts\":%lld,"
-                    "\"metrics\":",
+                    "\"phases\":{",
                     stats.step, stats.a1, stats.z, stats.da, stats.wall_seconds,
                     stats.kinetic_energy, stats.thermal_energy,
                     stats.max_velocity, stats.max_acceleration,
                     stats.tree_builds, stats.tree_reuses, stats.tree_seconds,
                     static_cast<long long>(stats.shard_migrated),
                     static_cast<long long>(stats.shard_ghosts));
-      log_line(std::string(buf) + obs::MetricsRegistry::global().to_json() +
-               "}");
+      // Per-step stage walls (not running totals); stage names are
+      // lint-shaped, so they need no escaping.
+      std::string line(buf);
+      for (const auto& [stage, seconds] : stats.phases) {
+        if (line.back() != '{') line += ',';
+        char value[32];
+        std::snprintf(value, sizeof(value), "%.6f", seconds);
+        line += "\"" + stage + "\":" + value;
+      }
+      log_line(line + "},\"metrics\":" +
+               obs::MetricsRegistry::global().to_json() + "}");
     }
     if (opt_.echo_steps) {
       std::printf("  step %4d  z=%8.3f  da=%.3e  wall=%6.3fs  KE=%.4e\n",

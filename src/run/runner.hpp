@@ -5,11 +5,12 @@
 /// end-to-end simulation — IC generation (or checkpoint restart), the
 /// stepping loop under a StepController, periodic restart checkpoints, an
 /// in-run diagnostics schedule (FoF halo finding + the metrics cascade over
-/// the per-kernel timers), and a JSON-lines event log.  This is the layer
+/// per-kernel wall times), and a JSON-lines event log.  This is the layer
 /// behind the `hacc_run` CLI; the paper's five-step benchmark is the
 /// `paper-benchmark` scenario in fixed mode.
 
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "halo/fof.hpp"
 #include "obs/metrics.hpp"
 #include "run/step_controller.hpp"
+#include "xsycl/queue.hpp"
 
 namespace hacc::run {
 
@@ -185,6 +187,9 @@ class ScenarioRunner {
   obs::MetricsRegistry::Handle m_run_outputs_;
   obs::MetricsRegistry::Handle m_stepctl_da_;  // gauge: last Δa decision
   std::uint64_t last_m2p_ = 0;  // fmm_ops() is cumulative; we record deltas
+  /// What the in-run cascade ranks, accumulated every step: kernel launches
+  /// by kernel name, plus the stages that launch no kernel by stage name.
+  std::map<std::string, xsycl::KernelTime> kernel_times_;
 };
 
 }  // namespace hacc::run

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "obs/trace.hpp"
+#include "util/timer.hpp"
 
 namespace hacc::xsycl {
 
@@ -62,7 +63,6 @@ LaunchStats Queue::submit_impl(const KernelFn& fn, const std::string& name,
   stats.seconds = util::wtime() - t0;
   stats.ops = total;
 
-  if (timers_ != nullptr) timers_->add(name, stats.seconds);
   {
     util::MutexLock lock(mu_);
     history_.push_back(stats);
@@ -75,6 +75,17 @@ std::vector<std::pair<std::string, OpCounters>> Queue::aggregate_by_kernel() con
   util::MutexLock lock(mu_);
   for (const auto& s : history_) agg[s.kernel].merge(s.ops);
   return {agg.begin(), agg.end()};
+}
+
+std::map<std::string, KernelTime> Queue::time_by_kernel() const {
+  std::map<std::string, KernelTime> out;
+  util::MutexLock lock(mu_);
+  for (const auto& s : history_) {
+    KernelTime& t = out[s.kernel];
+    t.seconds += s.seconds;
+    ++t.calls;
+  }
+  return out;
 }
 
 }  // namespace hacc::xsycl

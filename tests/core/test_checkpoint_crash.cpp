@@ -39,7 +39,10 @@ class CheckpointCrashTest : public ::testing::Test {
     if (!io::fault_injection_compiled()) {
       GTEST_SKIP() << "built with HACC_FAULT_INJECTION=OFF";
     }
-    dir_ = ::testing::TempDir() + "/hacc_ckpt_crash";
+    // Parallel ctest runs each case as its own process; a shared directory
+    // lets one case's SetUp/TearDown wipe another's files mid-sweep.
+    dir_ = ::testing::TempDir() + "/hacc_ckpt_crash_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
     dm_ = random_particles(24, 31);

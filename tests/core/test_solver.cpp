@@ -8,6 +8,7 @@
 
 #include <cmath>
 
+#include "obs/metrics.hpp"
 #include "util/config.hpp"
 
 namespace hacc::core {
@@ -30,6 +31,14 @@ double measured_growth_ratio(const SimConfig& cfg, util::ThreadPool& pool) {
   for (int s = 0; s < cfg.n_steps; ++s) solver.step();
   const auto d1 = solver.diagnostics();
   return d1.max_displacement / d0.max_displacement;
+}
+
+// The run-wide PM solve counter (absent until some PmSolver registers it).
+double pm_solves() {
+  for (const auto& m : obs::MetricsRegistry::global().snapshot()) {
+    if (m.name == "pm.solves") return m.value;
+  }
+  return 0.0;
 }
 
 double expected_growth_ratio(const SimConfig& cfg) {
@@ -127,16 +136,51 @@ TEST(Solver, TimersCoverAllPaperKernels) {
   cfg.n_steps = 2;
   util::ThreadPool pool(4);
   Solver solver(cfg, pool);
-  solver.run();
-  const auto& t = solver.timers();
-  // The seven SPH timers of Figs. 9-11 plus the gravity timers.
+  solver.initialize();
+  for (int s = 0; s < cfg.n_steps; ++s) {
+    EXPECT_GT(solver.step().phases.at("pm"), 0.0);  // the PM stage wall
+  }
+  // The launch history holds the seven SPH kernels of Figs. 9-11 plus
+  // short-range gravity.
+  const auto launched = solver.queue().time_by_kernel();
   for (const char* name : {"upGeo", "upCor", "upBarEx", "upBarAc", "upBarDu",
-                           "upBarAcF", "upBarDuF", "grav_pm", "grav_pp"}) {
-    EXPECT_GT(t.get(name).calls, 0u) << name;
+                           "upBarAcF", "upBarDuF", "grav_pp"}) {
+    EXPECT_TRUE(launched.contains(name)) << name;
   }
   // upBarAcF runs every step; upBarAc only at initialization.
-  EXPECT_EQ(t.get("upBarAcF").calls, static_cast<std::uint64_t>(cfg.n_steps));
-  EXPECT_EQ(t.get("upBarAc").calls, 1u);
+  EXPECT_EQ(launched.at("upBarAcF").calls,
+            static_cast<std::uint64_t>(cfg.n_steps));
+  EXPECT_EQ(launched.at("upBarAc").calls, 1u);
+}
+
+TEST(Solver, StepPhasesTimeEachStageOnce) {
+  // Regression: a stage-wide timer and the per-launch timer used to add into
+  // one "grav_pp" entry, counting short-range gravity twice.  Now the stage
+  // executor times stages and the launch history times kernels, so the
+  // grav_pp launches fit inside their short_range stage, and the StepStats
+  // stage fields are sums over phases.
+  SimConfig cfg = small_config();
+  cfg.np_side = 8;
+  cfg.n_steps = 1;
+  util::ThreadPool pool(2);
+  Solver solver(cfg, pool);
+  solver.initialize();
+  solver.queue().clear_history();
+  const StepStats s = solver.step();
+  const xsycl::KernelTime pp = solver.queue().time_by_kernel().at("grav_pp");
+  EXPECT_GT(pp.calls, 0u);
+  ASSERT_TRUE(s.phases.contains("short_range"));
+  EXPECT_LE(pp.seconds, s.phases.at("short_range"));
+
+  const auto phase = [&s](const char* name) {
+    const auto it = s.phases.find(name);
+    return it == s.phases.end() ? 0.0 : it->second;
+  };
+  EXPECT_EQ(s.short_range_seconds, phase("sph") + phase("fmm_build") +
+                                       phase("short_range") +
+                                       phase("far_field"));
+  EXPECT_EQ(s.pm_seconds, phase("pm"));
+  EXPECT_EQ(s.tree_seconds, phase("tree"));
 }
 
 TEST(Solver, MassIsExactlyBoxVolume) {
@@ -399,16 +443,19 @@ TEST(Solver, FmmBackendExercisesFarFieldAndStaysFinite) {
   cfg.n_steps = 1;
   util::ThreadPool pool(4);
   Solver solver(cfg, pool);
+  const double solves0 = pm_solves();
   solver.initialize();
   EXPECT_GT(solver.fmm_ops().m2p_ops, 0u);
   for (const auto& a : solver.gravity_accelerations()) {
     ASSERT_TRUE(std::isfinite(a.x) && std::isfinite(a.y) && std::isfinite(a.z));
   }
-  // The fmm backend replaces the mesh: tree timers run, the PM timer never.
-  EXPECT_GT(solver.timers().get("grav_fmm").calls, 0u);
-  EXPECT_GT(solver.timers().get("grav_far").calls, 0u);
-  EXPECT_GT(solver.timers().get("grav_pp").calls, 0u);
-  EXPECT_EQ(solver.timers().get("grav_pm").calls, 0u);
+  // The fmm backend replaces the mesh: the tree stages and the near-field
+  // launches run, a PM solve never does.
+  EXPECT_TRUE(solver.queue().time_by_kernel().contains("grav_pp"));
+  const StepStats s = solver.step();
+  EXPECT_TRUE(s.phases.contains("fmm_build"));
+  EXPECT_TRUE(s.phases.contains("far_field"));
+  EXPECT_EQ(pm_solves(), solves0);
 }
 
 TEST(Solver, DoubleInitializeFailsLoudly) {

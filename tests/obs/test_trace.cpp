@@ -209,6 +209,25 @@ TEST(Tracer, WriteChromeTraceEmitsLoadableJson) {
   // Duration events carry microsecond timestamps: 0.001 s -> ts 1000 us.
   EXPECT_NE(json.find("\"ph\":\"X\",\"ts\":1000.000,\"dur\":1000.000"),
             std::string::npos);
+  EXPECT_NE(json.find("\"otherData\":{\"dropped_events\":0}"),
+            std::string::npos);
+}
+
+TEST(Tracer, WriteChromeTraceRecordsTheDroppedCount) {
+  // A truncated trace must say so in the file itself, not only on stdout.
+  Tracer t;
+  t.enable(/*events_per_thread=*/4);
+  for (int i = 0; i < 10; ++i) t.record("test.flood", i, i + 0.5);
+  const std::string path = ::testing::TempDir() + "/hacc_test_trace_drops.json";
+  EXPECT_EQ(t.write_chrome_trace(path).dropped, 6u);
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.is_open());
+  std::stringstream ss;
+  ss << in.rdbuf();
+  std::remove(path.c_str());
+  EXPECT_NE(ss.str().find("\"otherData\":{\"dropped_events\":6}"),
+            std::string::npos);
 }
 
 TEST(Tracer, WriteChromeTraceThrowsWhenUnwritable) {

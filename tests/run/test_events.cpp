@@ -120,6 +120,7 @@ TEST_F(EventSchemaTest, EveryEventCarriesTypeStepAndTheMetricsSnapshot) {
       }
       EXPECT_TRUE(has_key(line, "a")) << line;
       EXPECT_TRUE(has_key(line, "wall_s")) << line;
+      EXPECT_TRUE(has_key(line, "phases")) << line;
     } else if (type == "checkpoint") {
       ++checkpoint_events;
       EXPECT_TRUE(has_key(line, "file")) << line;

@@ -81,19 +81,6 @@ TEST(Queue, LocalArenaSlicesDoNotOverlapAcrossSubGroups) {
   EXPECT_EQ(errors.load(), 0);
 }
 
-TEST(Queue, TimersRecordLaunches) {
-  util::ThreadPool pool(2);
-  util::TimerRegistry timers;
-  Queue q(pool, &timers);
-  std::vector<std::atomic<int>> hits(10);
-  std::atomic<long> lanes{0};
-  q.submit(MarkKernel{hits.data(), &lanes}, 10, {});
-  q.submit(MarkKernel{hits.data(), &lanes}, 10, {});
-  const auto e = timers.get("mark");
-  EXPECT_EQ(e.calls, 2u);
-  EXPECT_GE(e.seconds, 0.0);
-}
-
 TEST(Queue, HistoryAggregatesByKernelName) {
   util::ThreadPool pool(2);
   Queue q(pool);
@@ -106,6 +93,12 @@ TEST(Queue, HistoryAggregatesByKernelName) {
   ASSERT_EQ(agg.size(), 1u);
   EXPECT_EQ(agg[0].first, "mark");
   EXPECT_EQ(agg[0].second.sub_groups, 30u);
+  // Launch walls sum per kernel name over the same history.
+  const auto times = q.time_by_kernel();
+  ASSERT_EQ(times.size(), 1u);
+  EXPECT_EQ(times.at("mark").calls, 2u);
+  const auto h = q.history();
+  EXPECT_DOUBLE_EQ(times.at("mark").seconds, h[0].seconds + h[1].seconds);
   q.clear_history();
   EXPECT_TRUE(q.history().empty());
 }
@@ -114,8 +107,7 @@ TEST(Queue, ConcurrentSubmittersKeepHistoryConsistent) {
   // Two driver threads submit into one queue over the shared pool; the
   // history must record every launch without tearing (TSan-checked in CI).
   util::ThreadPool pool(4);
-  util::TimerRegistry timers;
-  Queue q(pool, &timers);
+  Queue q(pool);
   constexpr int kPerThread = 8;
   std::vector<std::atomic<int>> hits(64);
   std::atomic<long> lanes{0};
@@ -130,7 +122,7 @@ TEST(Queue, ConcurrentSubmittersKeepHistoryConsistent) {
   a.join();
   b.join();
   EXPECT_EQ(q.history().size(), 2u * kPerThread);
-  EXPECT_EQ(timers.get("mark").calls, 2u * kPerThread);
+  EXPECT_EQ(q.time_by_kernel().at("mark").calls, 2u * kPerThread);
   const auto agg = q.aggregate_by_kernel();
   ASSERT_EQ(agg.size(), 1u);
   EXPECT_EQ(agg[0].second.sub_groups, 2u * kPerThread * 64u);

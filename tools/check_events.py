@@ -13,9 +13,10 @@ Two modes:
     runner-registered key (the backend-independent set below); checkpoint
     events must name the file, its cost, and its post-write CRC verdict;
     `ckpt_validate` / `recovery` / `error` / `ckpt_prune` events carry the
-    checkpoint-durability fields.  The contract is documented in
-    docs/OBSERVABILITY.md and docs/RUNNING.md and pinned by
-    tests/run/test_events.cpp.
+    checkpoint-durability fields.  Every step event carries `phases`: the
+    step's wall seconds per propagator stage, each finite and >= 0.  The
+    contract is documented in docs/OBSERVABILITY.md and docs/RUNNING.md and
+    pinned by tests/run/test_events.cpp.
 
   Chrome trace (--trace)
       python3 tools/check_events.py --trace trace.json [--min-threads N]
@@ -23,13 +24,15 @@ Two modes:
     The file must be a trace_event JSON object Perfetto can load: "X"
     duration events with non-negative ts/dur, span names following the
     `module.phase` convention, and thread_name metadata for every lane.
+    A trace whose `otherData.dropped_events` is above zero is truncated
+    (a per-thread ring overflowed) and fails.
     --min-threads requires that many distinct lanes recorded spans;
     --min-workers requires that many of them to be pool workers
     ("worker-<i>" lanes) — the CI smoke run uses it to prove multi-thread
     tracing end to end.  --assert-overlap A,B requires at least one span
     matching token A to overlap in time with one matching token B (a span
     matches a token when the token equals one of its dot-separated name
-    segments, so `pm` matches both `sched.pm` and `gravity.pm`) — the CI
+    segments, so `pm` matches both `sched.pm` and `pm.deposit`) — the CI
     proof that the step propagator really runs the PM stage concurrently
     with the short-range chain.
 
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -65,7 +69,7 @@ REQUIRED_EVENT_KEYS = {
     "begin": ["scenario", "backend", "mode", "hydro", "restart"],
     "init": ["a"],
     "restart": ["a", "z", "file"],
-    "step": ["a", "z", "da", "wall_s", "ke", "metrics"],
+    "step": ["a", "z", "da", "wall_s", "ke", "phases", "metrics"],
     "checkpoint": ["a", "file", "bytes", "write_s", "crc"],
     "ckpt_validate": ["file", "status"],
     "recovery": ["file", "recovered_from", "candidates"],
@@ -135,6 +139,17 @@ def check_jsonl(path: Path) -> list[str]:
                     problem(lineno, f'"{etype}" metrics "{key}" is not a number')
         elif etype in ("step", "run_summary") and "metrics" in obj:
             problem(lineno, f'"{etype}" "metrics" is not an object')
+        if etype == "step" and "phases" in obj:
+            phases = obj["phases"]
+            if not isinstance(phases, dict):
+                problem(lineno, '"step" "phases" is not an object')
+            else:
+                for stage, seconds in phases.items():
+                    if (not isinstance(seconds, (int, float))
+                            or isinstance(seconds, bool)
+                            or not math.isfinite(seconds) or seconds < 0):
+                        problem(lineno, f'"step" phase "{stage}" is not a '
+                                        f'finite number >= 0: {seconds!r}')
 
     # Stream shape.
     types = [obj.get("type") for _, obj in events]
@@ -163,6 +178,13 @@ def check_jsonl(path: Path) -> list[str]:
             break
 
     return problems
+
+
+def trace_dropped_events(trace: dict) -> int:
+    """Events the exporter lost to ring overflow (0 when not recorded)."""
+    other = trace.get("otherData")
+    dropped = other.get("dropped_events", 0) if isinstance(other, dict) else 0
+    return dropped if isinstance(dropped, int) else 0
 
 
 def check_trace(path: Path, min_threads: int, min_workers: int,
@@ -194,6 +216,10 @@ def check_trace(path: Path, min_threads: int, min_workers: int,
     if not isinstance(events, list):
         problem('"traceEvents" must be an array')
         return problems
+    dropped = trace_dropped_events(trace)
+    if dropped:
+        problem(f"trace is truncated: {dropped} event(s) dropped "
+                f"(otherData.dropped_events)")
 
     lane_names: dict[int, str] = {}
     lanes_with_spans: set[int] = set()

@@ -33,6 +33,7 @@ def event(etype: str, step: int, **extra) -> dict:
         "init": {"a": 0.02},
         "restart": {"a": 0.02, "z": 49.0, "file": "ck.step2"},
         "step": {"a": 0.03, "z": 32.3, "da": 0.01, "wall_s": 0.5, "ke": 1.0,
+                 "phases": {"assemble": 0.001, "pm": 0.1, "short_range": 0.3},
                  "metrics": metrics_snapshot()},
         "checkpoint": {"a": 0.03, "file": "ck.step2", "bytes": 4096,
                        "write_s": 0.01, "crc": "ok"},
@@ -183,6 +184,19 @@ class JsonlStream(unittest.TestCase):
         problems = check_lines(events)
         self.assertTrue(any('missing "metrics"' in p for p in problems))
 
+    def test_step_without_phases_flagged(self):
+        events = valid_stream()
+        del events[2]["phases"]
+        problems = check_lines(events)
+        self.assertTrue(any('missing "phases"' in p for p in problems))
+
+    def test_negative_phase_flagged(self):
+        events = valid_stream()
+        events[4]["phases"]["pm"] = -0.5
+        problems = check_lines(events)
+        self.assertTrue(any('phase "pm" is not a finite number >= 0' in p
+                            for p in problems))
+
     def test_missing_metric_key_flagged(self):
         events = valid_stream()
         del events[2]["metrics"]["tree.builds"]
@@ -269,6 +283,18 @@ class ChromeTrace(unittest.TestCase):
         trace["traceEvents"].append(span(9, "core.kick", 5.0, 1.0))
         problems = check_trace_obj(trace)
         self.assertTrue(any("no thread_name" in p for p in problems))
+
+    def test_truncated_trace_flagged(self):
+        trace = self.valid_trace()
+        trace["otherData"] = {"dropped_events": 3}
+        problems = check_trace_obj(trace)
+        self.assertTrue(any("truncated: 3 event(s) dropped" in p
+                            for p in problems))
+
+    def test_zero_dropped_events_passes(self):
+        trace = self.valid_trace()
+        trace["otherData"] = {"dropped_events": 0}
+        self.assertEqual(check_trace_obj(trace), [])
 
     def test_missing_trace_events_flagged(self):
         problems = check_trace_obj({"displayTimeUnit": "ms"})

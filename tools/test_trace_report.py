@@ -8,6 +8,8 @@ Run with either:
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import sys
 import tempfile
@@ -92,12 +94,27 @@ class EndToEnd(unittest.TestCase):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "trace.json"
             path.write_text(json.dumps(trace), encoding="utf-8")
-            spans, lanes = trace_report.load_events(path)
+            spans, lanes, dropped = trace_report.load_events(path)
             report = trace_report.render_report(spans, lanes)
             self.assertEqual(trace_report.main([str(path)]), 0)
         self.assertIn("core.step", report)
         self.assertIn("worker-0", report)
         self.assertIn("core.step wall: 0.0010 s", report)
+        self.assertEqual(dropped, 0)
+
+    def test_truncated_trace_prints_banner_and_fails(self):
+        trace = {"traceEvents": [lane(0, "main"),
+                                 span(0, "core.step", 0, 1000.0)],
+                 "otherData": {"dropped_events": 7}}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.json"
+            path.write_text(json.dumps(trace), encoding="utf-8")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                status = trace_report.main([str(path)])
+        self.assertEqual(status, 1)
+        self.assertIn("TRUNCATED: 7 event(s) dropped", out.getvalue())
+        self.assertIn("core.step", out.getvalue())  # the table still prints
 
     def test_empty_trace_fails(self):
         with tempfile.TemporaryDirectory() as tmp:

@@ -16,6 +16,10 @@ prints two tables:
 
 Durations in the file are microseconds (Chrome convention); everything is
 reported in seconds.  See docs/OBSERVABILITY.md for the span catalog.
+
+A trace whose `otherData.dropped_events` is above zero lost spans to a full
+per-thread ring: the tables still print, under a TRUNCATED banner, and the
+exit status is 1 because the totals undercount.
 """
 
 from __future__ import annotations
@@ -26,11 +30,15 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
+from check_events import trace_dropped_events
 
-def load_events(path: Path) -> tuple[list[dict], dict[int, str]]:
-    """Returns ("X" duration events, lane names by tid)."""
+
+def load_events(path: Path) -> tuple[list[dict], dict[int, str], int]:
+    """Returns ("X" duration events, lane names by tid, dropped events)."""
     trace = json.loads(path.read_text(encoding="utf-8"))
-    events = trace.get("traceEvents", []) if isinstance(trace, dict) else []
+    if not isinstance(trace, dict):
+        trace = {}
+    events = trace.get("traceEvents", [])
     lanes: dict[int, str] = {}
     spans: list[dict] = []
     for e in events:
@@ -40,7 +48,7 @@ def load_events(path: Path) -> tuple[list[dict], dict[int, str]]:
             lanes[e.get("tid", 0)] = e.get("args", {}).get("name", "")
         elif e.get("ph") == "X":
             spans.append(e)
-    return spans, lanes
+    return spans, lanes, trace_dropped_events(trace)
 
 
 def merged_busy_us(intervals: list[tuple[float, float]]) -> float:
@@ -125,7 +133,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("path", type=Path, help="chrome trace JSON file")
     args = parser.parse_args(argv)
     try:
-        spans, lanes = load_events(args.path)
+        spans, lanes, dropped = load_events(args.path)
     except (OSError, json.JSONDecodeError) as e:
         print(f"trace_report: cannot read {args.path}: {e}", file=sys.stderr)
         return 1
@@ -134,10 +142,12 @@ def main(argv: list[str]) -> int:
               file=sys.stderr)
         return 1
     try:
+        if dropped:
+            print(f"TRUNCATED: {dropped} event(s) dropped; totals undercount")
         print(render_report(spans, lanes))
     except BrokenPipeError:  # e.g. piped into head; not an error
         sys.stderr.close()
-    return 0
+    return 1 if dropped else 0
 
 
 if __name__ == "__main__":
