@@ -48,7 +48,7 @@ std::vector<Vec3d> positions_of(const core::ParticleSet& p) {
 // random-walk between prepares so boundary crossings really migrate.
 void BM_ShardPrepare(benchmark::State& state) {
   const int count = static_cast<int>(state.range(0));
-  util::ThreadPool pool;
+  util::ThreadPool& pool = util::ThreadPool::global();
   core::ParticleSet dm = random_dm(20'000, 11), gas;
   auto pos = positions_of(dm);
   shard::ShardOptions opt;
@@ -224,7 +224,9 @@ void write_bench_json(const std::vector<SweepRow>& rows, int steps,
 }
 
 void print_sweep() {
-  util::ThreadPool pool;
+  // The process pool, sized by HACC_NUM_THREADS: the "threads" field of
+  // BENCH_shard.json records the size of the pool the sweep really ran on.
+  util::ThreadPool& pool = util::ThreadPool::global();
   const int steps = 3;
   bench::print_header(
       "Shard sweep: full solver steps, migration + ghost-exchange phases\n"

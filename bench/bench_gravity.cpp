@@ -108,6 +108,7 @@ BENCHMARK(BM_PpShortRange)
     ->Arg(static_cast<long>(xsycl::CommVariant::kSelect))
     ->Arg(static_cast<long>(xsycl::CommVariant::kMemoryObject))
     ->Arg(static_cast<long>(xsycl::CommVariant::kBroadcast))
+    ->Arg(static_cast<long>(xsycl::CommVariant::kNative))
     ->Unit(benchmark::kMillisecond);
 
 void BM_PolyFit(benchmark::State& state) {

@@ -4,7 +4,8 @@
 // sub-group size selectable per run — the knobs of the portability study.
 //
 //   ./examples/adiabatic_universe np=12 steps=5 variant=select sg=32
-//   variants: select | mem32 | memobj | broadcast | visa
+//   variants: select | mem32 | memobj | broadcast | visa, or native for the
+//   production pair driver
 
 #include <cstdio>
 #include <string>

@@ -38,14 +38,16 @@ namespace hacc::core {
 
 /// Per-kernel communication-variant selection: the mechanism behind the
 /// paper's "specialized" configurations (§6), where each kernel can use the
-/// variant best suited to the target architecture.
+/// variant best suited to the target architecture.  Every kernel defaults to
+/// kNative, the host-specialized production driver; a study variant routes
+/// that kernel through the half-warp sub-group emulation instead.
 struct VariantSelection {
-  xsycl::CommVariant geometry = xsycl::CommVariant::kSelect;
-  xsycl::CommVariant corrections = xsycl::CommVariant::kSelect;
-  xsycl::CommVariant extras = xsycl::CommVariant::kSelect;
-  xsycl::CommVariant acceleration = xsycl::CommVariant::kSelect;
-  xsycl::CommVariant energy = xsycl::CommVariant::kSelect;
-  xsycl::CommVariant gravity = xsycl::CommVariant::kSelect;
+  xsycl::CommVariant geometry = xsycl::CommVariant::kNative;
+  xsycl::CommVariant corrections = xsycl::CommVariant::kNative;
+  xsycl::CommVariant extras = xsycl::CommVariant::kNative;
+  xsycl::CommVariant acceleration = xsycl::CommVariant::kNative;
+  xsycl::CommVariant energy = xsycl::CommVariant::kNative;
+  xsycl::CommVariant gravity = xsycl::CommVariant::kNative;
 
   /// The same variant for every kernel (the paper's "portable" baselines).
   static VariantSelection uniform(xsycl::CommVariant v) {

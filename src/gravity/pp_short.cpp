@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "sph/half_warp.hpp"
+#include "util/vec3.hpp"
 #include "xsycl/atomic.hpp"
 
 namespace hacc::gravity {
@@ -41,13 +42,16 @@ struct GravityTraits {
     return {arrays.x[i], arrays.y[i], arrays.z[i], arrays.mass[i], i, 1};
   }
 
+  // interact returns zero from r² >= rcut2 on.
+  float reach2(const State&) const { return rcut2; }
+
   Accum interact(const State& own, const State& other) const {
     float dx = own.px - other.px;
     float dy = own.py - other.py;
     float dz = own.pz - other.pz;
-    dx -= box * std::round(dx / box);
-    dy -= box * std::round(dy / box);
-    dz -= box * std::round(dz / box);
+    dx -= box * util::round_image(dx / box);
+    dy -= box * util::round_image(dy / box);
+    dz -= box * util::round_image(dz / box);
     const float r2 = dx * dx + dy * dy + dz * dz;
     if (r2 >= rcut2 || r2 <= 0.f) return {};
     // Newton minus the polynomial grid profile: attractive toward `other`.

@@ -2,9 +2,13 @@
 
 /// \file
 /// Short-range particle-particle gravity: the direct-comparison kernel
-/// branch of HACC (§3.1), executed through the same half-warp machinery as
-/// the SPH kernels so the full application exercises the xsycl
-/// communication variants end to end.
+/// branch of HACC (§3.1).  Its Traits run through the same pair drivers as
+/// the SPH kernels, selected by PpOptions::variant: the default kNative is
+/// the production driver (sph/native.hpp — owner-computes per leaf, exact
+/// cutoff prefilter, bit-identical at any thread count); a study variant
+/// runs the half-warp sub-group emulation (sph/half_warp.hpp), so the
+/// portability study exercises the xsycl communication variants end to
+/// end.
 
 #include <span>
 
@@ -34,7 +38,7 @@ struct PpOptions {
   float box = 1.0f;
   float G = 1.0f;
   float softening = 0.0f;  ///< Plummer softening length
-  xsycl::CommVariant variant = xsycl::CommVariant::kSelect;
+  xsycl::CommVariant variant = xsycl::CommVariant::kNative;
   xsycl::LaunchConfig launch;
 };
 
@@ -43,9 +47,9 @@ inline constexpr double kGravityPpFlops = 40.0;
 
 /// Runs the short-range kernel over the leaf pairs of `pairs` (cutoff must
 /// match poly.r_cut()).  The view is a whole tree (implicit conversion) or a
-/// species-filtered window of the shared interaction domain; a streamed
-/// PairSource feeds the launch machinery in leaf-pair batches.
-/// Accelerations are accumulated into arrays.ax/ay/az.
+/// species-filtered window of the shared interaction domain; the source may
+/// be streamed.  Accelerations are accumulated into arrays.ax/ay/az — under
+/// kNative with one add per particle.
 xsycl::LaunchStats run_pp_short(xsycl::Queue& q, const GravityArrays& arrays,
                                 const domain::SpeciesView& view,
                                 const domain::PairSource& pairs,

@@ -9,6 +9,7 @@ int registers_needed(const KernelStatics& ks, xsycl::CommVariant variant) {
   switch (variant) {
     case xsycl::CommVariant::kSelect:
     case xsycl::CommVariant::kVISA:
+    case xsycl::CommVariant::kNative:
       // Own state + partner state arriving in registers + accumulator.
       return ks.base_regs + 2 * ks.state_words + ks.accum_words;
     case xsycl::CommVariant::kMemory32:

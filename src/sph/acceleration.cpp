@@ -34,6 +34,8 @@ struct AccelerationTraits {
 
   State load(std::int32_t i) const { return load_hydro_state(*p, i); }
 
+  float reach2(const State& s) const { return support2(s.h); }
+
   Accum interact(const State& own, const State& other) const {
     const auto term = accel_term(to_side(own), to_side(other), box, visc);
     return {term.accel.x, term.accel.y, term.accel.z, term.vsig};

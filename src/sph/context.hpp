@@ -4,11 +4,18 @@
 // kernel launch abstraction (§4.2): kernels are function objects submitted
 // through a queue, with per-launch sub-group size and variant selection.
 //
+// HydroOptions::variant picks the pair driver.  The default, kNative, is
+// the production path: the owner-computes CPU driver of sph/native.hpp,
+// one launch per kernel with an exact cutoff prefilter and results that do
+// not depend on the thread count.  The five study variants run the
+// half-warp sub-group emulation of sph/half_warp.hpp for the portability
+// study (profiles, figures, variant tests).
+//
 // Pair kernels consume a domain::SpeciesView (leaf slot ranges + slot ->
-// particle permutation) and a domain::PairSource.  A materialized source
-// submits one launch; a streamed source feeds the launch machinery in
-// leaf-pair batches straight out of the dual-tree walk, so the hot path
-// never holds the full interaction list.
+// particle permutation) and a domain::PairSource.  The native driver
+// collects the source once into per-leaf partner lists; the harness
+// submits one launch per leaf-pair batch, so a streamed source never holds
+// the full interaction list there.
 
 #include <span>
 #include <string>
@@ -25,7 +32,7 @@ namespace hacc::sph {
 struct HydroOptions {
   float box = 1.0f;
   ViscosityParams<float> visc;
-  xsycl::CommVariant variant = xsycl::CommVariant::kSelect;
+  xsycl::CommVariant variant = xsycl::CommVariant::kNative;
   xsycl::LaunchConfig launch;
 };
 

@@ -73,6 +73,8 @@ struct CorrectionsTraits {
 
   State load(std::int32_t i) const { return load_cor_state(*p, i); }
 
+  float reach2(const State& s) const { return support2(s.h); }
+
   Accum interact(const State& own, const State& other) const {
     CrkMoments<float> m;
     corrections_term(m, to_side(own), to_side(other), box);

@@ -27,6 +27,8 @@ struct EnergyTraits {
 
   State load(std::int32_t i) const { return load_hydro_state(*p, i); }
 
+  float reach2(const State& s) const { return support2(s.h); }
+
   Accum interact(const State& own, const State& other) const {
     return {energy_term(to_side(own), to_side(other), box, visc)};
   }

@@ -31,6 +31,8 @@ struct ExtrasTraits {
   // plain load of p->rho here would race the atomic commits below.
   State load(std::int32_t i) const { return load_extras_state(*p, i); }
 
+  float reach2(const State& s) const { return support2(s.h); }
+
   Accum interact(const State& own, const State& other) const {
     const auto term = extras_term(to_side(own), to_side(other), box);
     Accum a;

@@ -26,6 +26,8 @@ struct GeometryTraits {
 
   State load(std::int32_t i) const { return load_geo_state(*p, i); }
 
+  float reach2(const State& s) const { return support2(s.h); }
+
   Accum interact(const State& own, const State& other) const {
     return {geometry_term(to_side(own), to_side(other), box)};
   }

@@ -1,7 +1,14 @@
 #pragma once
 
-// The half-warp pair-interaction harness (paper §5.3, Figs. 3-4): one
-// sub-group processes one interacting leaf pair.  The lower half of the
+// The half-warp pair-interaction harness (paper §5.3, Figs. 3-4) — the
+// portability study's instrument, not the production path.  The study
+// variants (kSelect ... kVISA) run here: a lane-by-lane emulation of the GPU
+// sub-group algorithm whose op counters feed the platform cost model.  The
+// production driver, selected by kNative (the default of every kernel
+// option struct), is the owner-computes CPU loop of sph/native.hpp; both
+// run the same Traits, and launch_pair_batches below picks between them.
+//
+// One sub-group processes one interacting leaf pair.  The lower half of the
 // sub-group owns particles from leaf A, the upper half from leaf B; each
 // round of the partner schedule exchanges states so that when a lower lane
 // evaluates (i, j), an upper lane simultaneously evaluates (j, i) — the
@@ -15,6 +22,7 @@
 #include <string>
 
 #include "domain/domain.hpp"
+#include "sph/native.hpp"
 #include "tree/rcb.hpp"
 #include "xsycl/atomic.hpp"
 #include "xsycl/comm_variant.hpp"
@@ -22,13 +30,20 @@
 
 namespace hacc::sph {
 
-// Traits contract (see geometry.hpp etc. for implementations):
-//   using State;                       // trivially copyable, 4-byte multiple
+// Traits contract, shared by both drivers (implementations in
+// geometry.cpp ... energy.cpp and gravity/pp_short.cpp):
+//   using State;                       // trivially copyable, 4-byte multiple,
+//                                      // with px, py, pz, idx and valid
 //   using Accum;                       // default-zero, operator+=
 //   static constexpr int kAccumWords;  // floats committed per particle
+//   float box;                         // periodic box interact images in
 //   State load(std::int32_t i) const;
 //   Accum interact(const State& own, const State& other) const;
 //   void commit(xsycl::SubGroup&, std::int32_t idx, const Accum&) const;
+//   float reach2(const State& s) const;  // native prefilter: interact is
+//                                        // exactly zero once the minimum-
+//                                        // image r² >= max(reach2(own),
+//                                        // reach2(other))
 
 template <typename Traits>
 class PairInteractionKernel {
@@ -231,9 +246,11 @@ inline std::uint64_t subgroups_for(std::size_t n, int sg_size) {
   return (n + sg_size - 1) / static_cast<std::size_t>(sg_size);
 }
 
-// Submits one PairInteractionKernel launch per batch of the pair source and
-// accumulates the per-launch stats into a single record — the one batching
-// loop shared by the SPH kernel runners and gravity's run_pp_short.
+// The one pair-launch entry shared by the SPH kernel runners and gravity's
+// run_pp_short.  kNative runs the production driver (sph/native.hpp) as a
+// single launch; every study variant submits one PairInteractionKernel
+// launch per batch of the pair source and accumulates the per-launch stats
+// into a single record.
 template <typename Traits>
 xsycl::LaunchStats launch_pair_batches(xsycl::Queue& q, const std::string& name,
                                        const Traits& traits,
@@ -241,6 +258,9 @@ xsycl::LaunchStats launch_pair_batches(xsycl::Queue& q, const std::string& name,
                                        const domain::PairSource& pairs,
                                        xsycl::CommVariant variant,
                                        const xsycl::LaunchConfig& launch) {
+  if (variant == xsycl::CommVariant::kNative) {
+    return launch_native(q, name, traits, view, pairs, launch);
+  }
   xsycl::LaunchStats total;
   total.kernel = name;
   total.sub_group_size = launch.sub_group_size;

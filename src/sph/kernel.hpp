@@ -60,6 +60,15 @@ inline Real kernel_self(Real h) {
   return kernel_w(Real(0), h);
 }
 
+// Squared support radius (kSupport h)^2.  Every SPH pair term of i and j is
+// exactly zero once r >= kSupport * max(h_i, h_j) — the reach the native
+// driver's cutoff prefilter relies on (sph/native.hpp).
+template <typename Real>
+inline Real support2(Real h) {
+  const Real s = Real(kSupport) * h;
+  return s * s;
+}
+
 // Symmetrized pair smoothing length.
 template <typename Real>
 inline Real pair_h(Real hi, Real hj) {

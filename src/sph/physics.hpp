@@ -40,7 +40,7 @@ struct HydroSide {
 // Minimum-image displacement in a periodic box.
 template <typename Real>
 inline util::Vec3<Real> min_image(util::Vec3<Real> d, Real box) {
-  for (int a = 0; a < 3; ++a) d[a] -= box * std::round(d[a] / box);
+  for (int a = 0; a < 3; ++a) d[a] -= box * util::round_image(d[a] / box);
   return d;
 }
 

@@ -49,6 +49,17 @@ struct Vec3 {
 using Vec3f = Vec3<float>;
 using Vec3d = Vec3<double>;
 
+// std::round(q), bit for bit (halfway cases away from zero, the sign of a
+// zero result kept), with the libm call only for |q| >= 1.5.  A separation
+// of two in-box coordinates has |d / box| < 1, so the minimum image
+// d - box * round_image(d / box) costs a compare and a copysign.
+template <typename T>
+inline T round_image(T q) {
+  const T a = std::fabs(q);
+  if (a < T(1.5)) return std::copysign(a >= T(0.5) ? T(1) : T(0), q);
+  return std::round(q);
+}
+
 // Symmetric 3x3 matrix (for the CRK second moment m2 and its inverse).
 template <typename T>
 struct Sym3 {

@@ -4,6 +4,12 @@
 // kBroadcast restructures the interaction loop and therefore does not use
 // exchange(); the remaining four share the half-warp loop shape and differ
 // only in how partner state crosses lanes.
+//
+// kNative is the selector value of the production path: the owner-computes
+// CPU driver of sph/native.hpp, which emulates no sub-group at all.  It is
+// the default of every kernel option struct but is deliberately absent from
+// kAllVariants and kExchangeVariants, so the study enumerations, profiles
+// and figures cover the five GPU variants only.
 
 #include <array>
 #include <string>
@@ -18,6 +24,7 @@ enum class CommVariant {
   kMemoryObject,  // work-group local memory, whole objects
   kBroadcast,     // restructured loop using group_broadcast
   kVISA,          // inline-vISA specialized butterfly shuffle
+  kNative,        // production CPU driver (sph/native.hpp); not a study variant
 };
 
 inline constexpr std::array<CommVariant, 5> kAllVariants = {
@@ -36,6 +43,7 @@ inline const char* to_string(CommVariant v) {
     case CommVariant::kMemoryObject: return "Memory, Object";
     case CommVariant::kBroadcast: return "Broadcast";
     case CommVariant::kVISA: return "vISA";
+    case CommVariant::kNative: return "Native";
   }
   return "?";
 }
@@ -57,9 +65,11 @@ inline Varying<T> exchange(SubGroup& sg, const Varying<T>& x, int round, CommVar
     case CommVariant::kMemory32: return exchange_local32(sg, x, round);
     case CommVariant::kMemoryObject: return exchange_local_object(sg, x, round);
     case CommVariant::kVISA: return exchange_visa(sg, x, round);
-    case CommVariant::kBroadcast: break;  // restructured loop; no exchange
+    case CommVariant::kBroadcast:  // restructured loop; no exchange
+    case CommVariant::kNative:     // owner-computes loop; no lanes to exchange
+      break;
   }
-  assert(false && "kBroadcast kernels do not call exchange()");
+  assert(false && "kBroadcast and kNative kernels do not call exchange()");
   return x;
 }
 
@@ -85,6 +95,7 @@ inline bool parse_variant(const std::string& name, CommVariant& out) {
   }
   if (name == "Broadcast" || name == "broadcast") { out = CommVariant::kBroadcast; return true; }
   if (name == "vISA" || name == "visa") { out = CommVariant::kVISA; return true; }
+  if (name == "Native" || name == "native") { out = CommVariant::kNative; return true; }
   return false;
 }
 

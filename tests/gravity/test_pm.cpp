@@ -258,11 +258,14 @@ TEST(PmSolver, PhaseTimesCoverThePipeline) {
 }
 
 TEST(PpShortKernel, MatchesBruteForceReference) {
+  // Both pair drivers — the native production loop and the half-warp study
+  // harness — at the pm_pp split and at the fmm backend's Newtonian cutoff
+  // (sqrt(3)/2 box, beyond half the box: the minimum-image corner case).
   util::ThreadPool pool(4);
-  xsycl::Queue q(pool);
   const float box = 10.0f;
   const double rs = 0.8;
-  const PolyShortForce poly(rs, 4.0 * rs);
+  const PolyShortForce split(rs, 4.0 * rs);
+  const PolyShortForce newton = PolyShortForce::newtonian(std::sqrt(3.0) / 2.0 * box);
   util::CounterRng rng(11);
   const int n = 500;
   std::vector<Vec3d> pos_d(n);
@@ -275,28 +278,34 @@ TEST(PpShortKernel, MatchesBruteForceReference) {
     z[i] = float(pos_d[i].z);
     m[i] = 1.0f + float(rng.uniform(9000 + i));
   }
-  // Kernel path.
-  std::vector<float> ax(n, 0.f), ay(n, 0.f), az(n, 0.f);
   tree::RcbTree tr(pos_d, box, 24);
-  const auto pairs = tr.interacting_pairs(poly.r_cut());
-  PpOptions opt;
-  opt.box = box;
-  opt.G = 0.7f;
-  opt.softening = 0.05f;
-  run_pp_short(q, {x.data(), y.data(), z.data(), m.data(), ax.data(), ay.data(),
-                   az.data(), static_cast<std::size_t>(n)},
-               tr, pairs, poly, opt);
-  // Reference path.
-  std::vector<float> rx(n, 0.f), ry(n, 0.f), rz(n, 0.f);
-  reference_pp_short({x.data(), y.data(), z.data(), m.data(), rx.data(), ry.data(),
-                      rz.data(), static_cast<std::size_t>(n)},
-                     poly, box, 0.7f, 0.05f);
-  double scale = 1e-20;
-  for (int i = 0; i < n; ++i) scale = std::max(scale, double(std::abs(rx[i])));
-  for (int i = 0; i < n; ++i) {
-    ASSERT_NEAR(ax[i], rx[i], 2e-4 * scale) << i;
-    ASSERT_NEAR(ay[i], ry[i], 2e-4 * scale) << i;
-    ASSERT_NEAR(az[i], rz[i], 2e-4 * scale) << i;
+  for (const PolyShortForce* poly : {&split, &newton}) {
+    // Reference path.
+    std::vector<float> rx(n, 0.f), ry(n, 0.f), rz(n, 0.f);
+    reference_pp_short({x.data(), y.data(), z.data(), m.data(), rx.data(),
+                        ry.data(), rz.data(), static_cast<std::size_t>(n)},
+                       *poly, box, 0.7f, 0.05f);
+    double scale = 1e-20;
+    for (int i = 0; i < n; ++i) scale = std::max(scale, double(std::abs(rx[i])));
+    const auto pairs = tr.interacting_pairs(poly->r_cut());
+    for (const auto variant : {xsycl::CommVariant::kNative, xsycl::CommVariant::kSelect}) {
+      // Kernel path.
+      xsycl::Queue q(pool);
+      std::vector<float> ax(n, 0.f), ay(n, 0.f), az(n, 0.f);
+      PpOptions opt;
+      opt.box = box;
+      opt.G = 0.7f;
+      opt.softening = 0.05f;
+      opt.variant = variant;
+      run_pp_short(q, {x.data(), y.data(), z.data(), m.data(), ax.data(), ay.data(),
+                       az.data(), static_cast<std::size_t>(n)},
+                   tr, pairs, *poly, opt);
+      for (int i = 0; i < n; ++i) {
+        ASSERT_NEAR(ax[i], rx[i], 2e-4 * scale) << to_string(variant) << " " << i;
+        ASSERT_NEAR(ay[i], ry[i], 2e-4 * scale) << to_string(variant) << " " << i;
+        ASSERT_NEAR(az[i], rz[i], 2e-4 * scale) << to_string(variant) << " " << i;
+      }
+    }
   }
 }
 

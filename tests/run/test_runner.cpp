@@ -2,9 +2,10 @@
 // reproduce Solver::run() exactly, and a checkpoint restart must continue
 // bit-for-bit — per gravity backend, and through the adaptive stepper.
 //
-// All runs here share one single-worker pool: with one thread the dynamic
-// work distribution is sequential, so force evaluations are bitwise
-// reproducible and "identical particle state" can mean exact float equality.
+// The runs share one single-worker pool, and the restart battery repeats on
+// a four-worker pool: every force evaluation is bitwise reproducible at any
+// thread count (docs/CONCURRENCY.md), so "identical particle state" means
+// exact float equality either way.
 
 #include "run/runner.hpp"
 
@@ -12,6 +13,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "run/scenario.hpp"
@@ -75,40 +77,48 @@ TEST_F(RunnerTest, PaperBenchmarkReproducesSolverRun) {
 
 class RestartPerBackend
     : public RunnerTest,
-      public ::testing::WithParamInterface<core::GravityBackend> {};
+      public ::testing::WithParamInterface<core::GravityBackend> {
+ protected:
+  // Runs 4 steps uninterrupted, restarts from the step-2 checkpoint, and
+  // requires the two final states to agree bit for bit.
+  void expect_restart_bit_for_bit(util::ThreadPool& pool) {
+    Scenario s;
+    ASSERT_TRUE(find_scenario("paper-benchmark", s));
+    s.sim.np_side = 7;
+    s.sim.n_steps = 4;
+    s.sim.gravity_backend = GetParam();
+    // Hydro exercises the full pipeline on the paper backend; the tree
+    // backends run the cheaper gravity-only variant.
+    s.sim.hydro = s.sim.gravity_backend == core::GravityBackend::kPmPp;
+    s.run.checkpoint_path =
+        temp_path(std::string("bf_") + core::to_string(s.sim.gravity_backend) +
+                  "_t" + std::to_string(pool.size()));
+    s.run.checkpoint_every = 2;
+
+    // Uninterrupted N + M = 4 steps (checkpoints at 2 and 4 as a side effect).
+    ScenarioRunner full(s.sim, s.run, pool);
+    const RunResult full_result = full.run();
+    ASSERT_EQ(full_result.steps, 4);
+    ASSERT_EQ(full_result.checkpoints_written, 2);
+
+    // Restart from the mid-run checkpoint and run the remaining M steps.
+    RunOptions resume = s.run;
+    resume.checkpoint_path.clear();
+    resume.checkpoint_every = 0;
+    resume.restart_from = full_result.checkpoint_files.front();
+    ScenarioRunner restarted(s.sim, resume, pool);
+    const RunResult restart_result = restarted.run();
+
+    EXPECT_EQ(restart_result.steps, 2);
+    EXPECT_EQ(restart_result.total_steps, 4);
+    EXPECT_DOUBLE_EQ(restart_result.final_a, full_result.final_a);
+    expect_bitwise_equal(restarted.solver().dm(), full.solver().dm(), "dm");
+    expect_bitwise_equal(restarted.solver().gas(), full.solver().gas(), "gas");
+  }
+};
 
 TEST_P(RestartPerBackend, CheckpointRestartContinuesBitForBit) {
-  Scenario s;
-  ASSERT_TRUE(find_scenario("paper-benchmark", s));
-  s.sim.np_side = 7;
-  s.sim.n_steps = 4;
-  s.sim.gravity_backend = GetParam();
-  // Hydro exercises the full pipeline on the paper backend; the tree
-  // backends run the cheaper gravity-only variant.
-  s.sim.hydro = s.sim.gravity_backend == core::GravityBackend::kPmPp;
-  s.run.checkpoint_path = temp_path(std::string("bf_") +
-                                    core::to_string(s.sim.gravity_backend));
-  s.run.checkpoint_every = 2;
-
-  // Uninterrupted N + M = 4 steps (checkpoints at 2 and 4 as a side effect).
-  ScenarioRunner full(s.sim, s.run, test_pool());
-  const RunResult full_result = full.run();
-  ASSERT_EQ(full_result.steps, 4);
-  ASSERT_EQ(full_result.checkpoints_written, 2);
-
-  // Restart from the mid-run checkpoint and run the remaining M steps.
-  RunOptions resume = s.run;
-  resume.checkpoint_path.clear();
-  resume.checkpoint_every = 0;
-  resume.restart_from = full_result.checkpoint_files.front();
-  ScenarioRunner restarted(s.sim, resume, test_pool());
-  const RunResult restart_result = restarted.run();
-
-  EXPECT_EQ(restart_result.steps, 2);
-  EXPECT_EQ(restart_result.total_steps, 4);
-  EXPECT_DOUBLE_EQ(restart_result.final_a, full_result.final_a);
-  expect_bitwise_equal(restarted.solver().dm(), full.solver().dm(), "dm");
-  expect_bitwise_equal(restarted.solver().gas(), full.solver().gas(), "gas");
+  expect_restart_bit_for_bit(test_pool());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, RestartPerBackend,
@@ -118,6 +128,45 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, RestartPerBackend,
                          [](const auto& info) {
                            return std::string(core::to_string(info.param));
                          });
+
+// The same battery on four workers: the dynamic schedule now varies from
+// run to run, and the restart must still continue bit for bit.
+class RestartPerBackendFourThreads : public RestartPerBackend {};
+
+TEST_P(RestartPerBackendFourThreads, CheckpointRestartContinuesBitForBit) {
+  util::ThreadPool pool(4);
+  expect_restart_bit_for_bit(pool);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, RestartPerBackendFourThreads,
+                         ::testing::Values(core::GravityBackend::kPmPp,
+                                           core::GravityBackend::kFmm,
+                                           core::GravityBackend::kTreePm),
+                         [](const auto& info) {
+                           return std::string(core::to_string(info.param));
+                         });
+
+TEST_F(RunnerTest, FinalCheckpointIsByteIdenticalAcrossThreadCounts) {
+  // The end-to-end form of the determinism contract: the paper benchmark's
+  // final checkpoint does not depend on the pool size, down to the byte.
+  const auto final_checkpoint_bytes = [this](unsigned threads) {
+    Scenario s;
+    EXPECT_TRUE(find_scenario("paper-benchmark", s));
+    s.sim.np_side = 8;
+    s.run.checkpoint_path = temp_path("threads_" + std::to_string(threads));
+    s.run.checkpoint_final = true;
+    util::ThreadPool pool(threads);
+    ScenarioRunner runner(s.sim, s.run, pool);
+    const RunResult result = runner.run();
+    EXPECT_FALSE(result.checkpoint_files.empty());
+    if (result.checkpoint_files.empty()) return std::string();
+    std::ifstream in(result.checkpoint_files.back(), std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string serial = final_checkpoint_bytes(1);
+  ASSERT_FALSE(serial.empty());
+  EXPECT_TRUE(serial == final_checkpoint_bytes(4));
+}
 
 TEST_F(RunnerTest, AdaptiveCosmologyBoxRunsEndToEndAndRestartsIdentically) {
   Scenario s;

@@ -2,24 +2,21 @@
 // backend (and the SPH hydro pipeline) must produce the same physics at
 // 1, 2, 4, and 8 pool threads.
 //
-// Tolerance contract (docs/CONCURRENCY.md): the PM mesh pipeline
-// (CIC/FFT/gradient), tree build, FMM passes, and the kick/drift updates
-// are bitwise thread-count-invariant.  The short-range P-P and SPH pair
-// kernels commit per-pair contributions with atomic float adds, so their
-// accumulation *order* — and therefore the float rounding — depends on the
-// dynamic chunk schedule once more than one worker runs.  A few steps of a
-// smooth near-linear state amplify that reordering noise only weakly, so
-// multi-thread runs must match the 1-thread run to a small relative
-// tolerance, not bitwise.
+// Contract (docs/CONCURRENCY.md): a run's final state is bit-identical at
+// any thread count.  The PM mesh pipeline (CIC/FFT/gradient), tree build,
+// FMM passes and the kick/drift updates are deterministic by construction,
+// and the production pair driver (sph/native.hpp) — short-range P-P and
+// every SPH pair kernel — sums each particle's contributions on the one
+// worker that owns its leaf, in the canonical walk order, and commits the
+// sum in a single write.  No float sum depends on the dynamic chunk
+// schedule, so multi-thread runs must equal the 1-thread run exactly.
 //
-// The stage-overlap knob, by contrast, only changes *when* the PM stage
-// runs relative to the tree-walk chain, never what it reads or writes —
-// with a serial pool underneath, overlap on vs off must be bit-identical.
+// The stage-overlap knob only changes *when* the PM stage runs relative to
+// the tree-walk chain, never what it reads or writes — with a serial pool
+// underneath, overlap on vs off must be bit-identical as well.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -71,39 +68,6 @@ Snapshot run_case(const SimConfig& cfg, unsigned threads,
   return s;
 }
 
-double max_abs_diff(const std::vector<float>& a, const std::vector<float>& b) {
-  EXPECT_EQ(a.size(), b.size());
-  double worst = 0.0;
-  for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
-    worst = std::max(worst, std::abs(static_cast<double>(a[i]) - b[i]));
-  }
-  return worst;
-}
-
-double max_abs(const std::vector<float>& a) {
-  double worst = 0.0;
-  for (const float v : a) worst = std::max(worst, std::abs(static_cast<double>(v)));
-  return worst;
-}
-
-// Relative tolerance for atomic-accumulation reordering: float rounding is
-// ~1e-7 per commit; hundreds of pair commits per particle and two KDK steps
-// stay comfortably under 1e-4 of the state scale.
-constexpr double kRelTol = 1e-4;
-
-void expect_parity(const Snapshot& base, const Snapshot& other, double box,
-                   const std::string& label) {
-  const double v_scale = std::max(max_abs(base.dm_v), 1e-12);
-  EXPECT_LE(max_abs_diff(base.dm_x, other.dm_x), kRelTol * box) << label;
-  EXPECT_LE(max_abs_diff(base.dm_v, other.dm_v), kRelTol * v_scale) << label;
-  if (!base.gas_x.empty()) {
-    const double u_scale = std::max(max_abs(base.gas_u), 1e-12);
-    EXPECT_LE(max_abs_diff(base.gas_x, other.gas_x), kRelTol * box) << label;
-    EXPECT_LE(max_abs_diff(base.gas_v, other.gas_v), kRelTol * v_scale) << label;
-    EXPECT_LE(max_abs_diff(base.gas_u, other.gas_u), kRelTol * u_scale) << label;
-  }
-}
-
 void expect_identical(const Snapshot& a, const Snapshot& b,
                       const std::string& label) {
   EXPECT_EQ(a.dm_x, b.dm_x) << label;
@@ -119,10 +83,9 @@ TEST_P(ThreadParity, GravityOnlyMatchesSerialAcrossThreadCounts) {
   const SimConfig cfg = parity_config(GetParam(), /*hydro=*/false);
   const Snapshot base = run_case(cfg, 1);
   for (const unsigned threads : {2u, 4u, 8u}) {
-    const Snapshot s = run_case(cfg, threads);
-    expect_parity(base, s, cfg.box,
-                  to_string(GetParam()) + std::string(" @ ") +
-                      std::to_string(threads) + " threads");
+    expect_identical(base, run_case(cfg, threads),
+                     to_string(GetParam()) + std::string(" @ ") +
+                         std::to_string(threads) + " threads");
   }
 }
 
@@ -150,15 +113,14 @@ TEST(ThreadParitySph, HydroPipelineMatchesSerialAcrossThreadCounts) {
   const Snapshot base = run_case(cfg, 1);
   ASSERT_FALSE(base.gas_u.empty());
   for (const unsigned threads : {2u, 4u, 8u}) {
-    const Snapshot s = run_case(cfg, threads);
-    expect_parity(base, s, cfg.box,
-                  "sph @ " + std::to_string(threads) + " threads");
+    expect_identical(base, run_case(cfg, threads),
+                     "sph @ " + std::to_string(threads) + " threads");
   }
 }
 
 TEST(ThreadParitySph, RepeatedSerialRunsAreBitIdentical) {
   // The 1-thread pool runs chunks inline in index order: two identical runs
-  // must agree bitwise — the anchor the tolerance comparisons hang off.
+  // must agree bitwise — the anchor the thread-count comparisons hang off.
   const SimConfig cfg = parity_config(GravityBackend::kPmPp, /*hydro=*/true);
   expect_identical(run_case(cfg, 1), run_case(cfg, 1), "serial repeat");
 }

@@ -2,6 +2,7 @@
 // variants of the half-warp kernels (Select / Memory-32bit / Memory-Object /
 // Broadcast / vISA) compute the same physics, across sub-group sizes of 16,
 // 32 and 64 — only their communication mechanics (and hence cost) differ.
+// The native production driver is held to the same equivalence checks.
 
 #include <gtest/gtest.h>
 
@@ -75,17 +76,28 @@ void expect_close(const std::vector<float>& a, const std::vector<float>& b,
 class VariantEquivalence
     : public ::testing::TestWithParam<std::tuple<CommVariant, int>> {};
 
+std::string variant_param_name(
+    const ::testing::TestParamInfo<std::tuple<CommVariant, int>>& info) {
+  std::string v = to_string(std::get<0>(info.param));
+  for (char& c : v) {
+    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+  }
+  return v + "_sg" + std::to_string(std::get<1>(info.param));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllVariantsAllSgSizes, VariantEquivalence,
     ::testing::Combine(::testing::ValuesIn(xsycl::kAllVariants),
                        ::testing::Values(16, 32, 64)),
-    [](const auto& info) {
-      std::string v = to_string(std::get<0>(info.param));
-      for (char& c : v) {
-        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
-      }
-      return v + "_sg" + std::to_string(std::get<1>(info.param));
-    });
+    variant_param_name);
+
+// The production pair driver (sph/native.hpp) must pass the same checks.
+// It emulates no sub-group, so one sub-group size covers it.
+INSTANTIATE_TEST_SUITE_P(
+    NativeDriver, VariantEquivalence,
+    ::testing::Combine(::testing::Values(CommVariant::kNative),
+                       ::testing::Values(32)),
+    variant_param_name);
 
 TEST_P(VariantEquivalence, MatchesScalarDoubleReference) {
   const auto [variant, sg_size] = GetParam();

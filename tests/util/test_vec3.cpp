@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace hacc::util {
 namespace {
 
@@ -89,6 +91,37 @@ TEST(Sym3, MatrixVectorProduct) {
   Sym3d m{2.0, 0.0, 0.0, 3.0, 0.0, 4.0};
   const Vec3d r = m * Vec3d{1.0, 1.0, 1.0};
   EXPECT_EQ(r, (Vec3d{2.0, 3.0, 4.0}));
+}
+
+// round_image must be std::round bit for bit — sign of zero included — on
+// every input, since the minimum image of all pair kernels goes through it.
+template <typename T>
+void expect_round_image_is_round(T q) {
+  const T got = round_image(q);
+  const T want = std::round(q);
+  EXPECT_EQ(got, want) << q;
+  EXPECT_EQ(std::signbit(got), std::signbit(want)) << q;
+}
+
+TEST(RoundImage, MatchesStdRoundBitForBit) {
+  for (const float q : {0.f, -0.f, 0.25f, -0.25f, 0.5f, -0.5f, 1.f, -1.f, 1.5f,
+                        -1.5f, 2.5f, -3.5f, 1e6f, -1e-30f}) {
+    expect_round_image_is_round(q);
+    expect_round_image_is_round(double(q));
+  }
+  // Every float neighbour of the halfway and switch-over points.
+  for (const float edge : {0.5f, 1.5f}) {
+    for (const float sign : {1.f, -1.f}) {
+      const float e = sign * edge;
+      expect_round_image_is_round(std::nextafter(e, 0.f));
+      expect_round_image_is_round(std::nextafter(e, 2.f * e));
+    }
+  }
+  // A dense sweep of separations over two box lengths.
+  for (int k = -4096; k <= 4096; ++k) {
+    expect_round_image_is_round(static_cast<float>(k) / 2048.f + 1e-4f);
+    expect_round_image_is_round(static_cast<double>(k) / 2048.0 - 1e-9);
+  }
 }
 
 }  // namespace
