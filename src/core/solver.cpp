@@ -167,31 +167,6 @@ Solver::Solver(const SimConfig& cfg, util::ThreadPool& pool)
   dopt.pool = pool_;  // level-parallel tree builds (bit-identical, rcb.hpp)
   domain_ = std::make_unique<domain::InteractionDomain>(dopt);
 
-  // Sharded evaluation: the halo must cover the largest interaction range
-  // of any sharded consumer.  Short-range gravity needs the P-P cutoff;
-  // SPH needs the kernel support at the smoothing-length clamp (h never
-  // exceeds 2 h0, update_smoothing_lengths).  The fmm far field is global
-  // by construction, so with that backend only hydro shards — and without
-  // hydro there is nothing to shard at all.
-  if (cfg_.shard_count > 1) {
-    const bool pp_sharded = cfg_.gravity_backend != GravityBackend::kFmm;
-    double range = 0.0;
-    if (pp_sharded) range = std::max(range, poly_->r_cut());
-    if (cfg_.hydro) range = std::max(range, sph::kSupport * 2.0 * h0_);
-    if (range > 0.0) {
-      shard::ShardOptions sopt;
-      sopt.box = cfg_.box;
-      sopt.count = cfg_.shard_count;
-      sopt.range = range;
-      sopt.ghost_factor = cfg_.shard_ghost_factor;
-      sopt.leaf_size = cfg_.leaf_size;
-      sopt.skin = cfg_.domain_skin;
-      sopt.rebuild = cfg_.domain_rebuild;
-      sopt.pool = pool_;
-      engine_ = std::make_unique<shard::ShardEngine>(sopt);
-    }
-  }
-
   // Propagator: overlap needs a lane thread for the pm stage; with a
   // 1-thread pool (or overlap off) zero lanes keeps execution strictly
   // serial in declaration order — the determinism oracle.
@@ -489,7 +464,7 @@ sched::RunResult Solver::compute_forces(bool corrector) {
   //
   // Stage dependencies (also docs/ARCHITECTURE.md):
   //
-  //   assemble ──► tree ──► sph ──► [fmm_build ──►] short_range [──► far_field]
+  //   assemble ──► tree ──► [sph ──►] [fmm_build ──►] short_range [──► far_field]
   //       │
   //       └──────► pm                  (long-range mesh: needs only the gather)
   //
@@ -501,54 +476,18 @@ sched::RunResult Solver::compute_forces(bool corrector) {
   sched::TaskGraph graph;
   const std::size_t s_assemble =
       graph.add("assemble", {}, [this] { assemble_gravity_inputs(); });
-  std::size_t chain = s_assemble;
-
-  // Restart: the checkpointed kernel outputs stand in for this evaluation's
-  // sph stage; gravity is a pure function of the checkpointed positions and
-  // recomputes normally (sharded or not).
-  const bool restored = use_restored_hydro_forces_;
-  if (restored) use_restored_hydro_forces_ = false;
-  const bool run_sph_stage = !restored && cfg_.hydro && gas_.size() > 0;
-  // With the engine active, short-range gravity runs per shard — except for
-  // the fmm backend, whose far field needs the global tree, so its whole
-  // gravity chain stays unsharded and only hydro shards.
-  const bool sharded_pp =
-      engine_ != nullptr && cfg_.gravity_backend != GravityBackend::kFmm;
-
-  if (!sharded_pp) {
-    chain = graph.add("tree", {chain},
-                      [this] { domain_->update(grav_pos_, dm_.size()); });
-  }
-
-  if (engine_) {
-    chain = graph.add("shard_update", {chain}, [this, run_sph_stage] {
-      // h feeds the ghost loads, so it must be current before the exchange.
-      // The unsharded path updates it at the top of its sph stage instead —
-      // the same elementwise values, since V has not changed in between.
-      if (run_sph_stage) update_smoothing_lengths();
-      engine_->prepare(dm_, gas_, grav_pos_);
-    });
-  }
+  std::size_t chain = graph.add(
+      "tree", {s_assemble}, [this] { domain_->update(grav_pos_, dm_.size()); });
 
   // ---- Hydro (baryons) ----
-  if (run_sph_stage) {
-    if (engine_) {
-      chain = graph.add("sph", {chain}, [this, corrector] {
-        const auto& v = cfg_.variants;
-        shard::SphParams sp;
-        sp.geometry = hydro_options(cfg_, v.geometry);
-        sp.corrections = hydro_options(cfg_, v.corrections);
-        sp.extras = hydro_options(cfg_, v.extras);
-        sp.acceleration = hydro_options(cfg_, v.acceleration);
-        sp.energy = hydro_options(cfg_, v.energy);
-        sp.accel_timer = corrector ? "upBarAcF" : "upBarAc";
-        sp.energy_timer = corrector ? "upBarDuF" : "upBarDu";
-        engine_->run_sph(gas_, queue_, sp);
-      });
-    } else {
-      chain = graph.add("sph", {chain},
-                        [this, corrector] { run_hydro_kernels(corrector); });
-    }
+  // Restart: the checkpointed kernel outputs stand in for this evaluation's
+  // sph stage; gravity is a pure function of the checkpointed positions and
+  // recomputes normally.
+  const bool restored = use_restored_hydro_forces_;
+  if (restored) use_restored_hydro_forces_ = false;
+  if (!restored && cfg_.hydro && gas_.size() > 0) {
+    chain = graph.add("sph", {chain},
+                      [this, corrector] { run_hydro_kernels(corrector); });
   }
 
   // ---- Gravity (both species): Poisson constant 4 pi G = 3/2 Omega_m / (a rhobar),
@@ -567,22 +506,7 @@ sched::RunResult Solver::compute_forces(bool corrector) {
   // the fmm stages stay alive for the whole graph.
   std::optional<fmm::FmmEvaluator> evaluator;
   fmm::InteractionLists lists;
-  if (sharded_pp) {
-    // Per-shard direct P-P over the full cutoff sphere.  For pm_pp this is
-    // the same pair set as the unsharded walk (term-for-term in float); for
-    // treepm it REPLACES the MAC-accelerated short range with the exact
-    // direct sum, so a sharded treepm run differs from an unsharded one at
-    // the multipole-acceptance error level (docs/CONFIG.md).
-    graph.add("short_range", {chain}, [this, g_code] {
-      shard::PpParams pp;
-      pp.poly = poly_.get();
-      pp.box = static_cast<float>(cfg_.box);
-      pp.G = static_cast<float>(g_code);
-      pp.softening =
-          static_cast<float>(cfg_.softening_cells * cfg_.box / cfg_.pm_grid);
-      engine_->run_pp(pp, grav_ax_, grav_ay_, grav_az_);
-    });
-  } else if (cfg_.gravity_backend == GravityBackend::kPmPp) {
+  if (cfg_.gravity_backend == GravityBackend::kPmPp) {
     graph.add("short_range", {chain}, [this, g_code] {
       run_pp_short(queue_, gravity_arrays(), domain_->all(),
                    domain_->pairs(poly_->r_cut()), *poly_, pp_options(g_code));
@@ -701,8 +625,6 @@ StepStats Solver::step() {
   const obs::TraceSpan step_span("core.step");
   const double t0 = util::wtime();
   const domain::DomainStats dom0 = domain_->stats();
-  const shard::EngineStats eng0 =
-      engine_ ? engine_->stats() : shard::EngineStats{};
   StepStats stats;
   // Every force evaluation of this step folds its stage walls in here.
   const auto add_evaluation = [&stats](const sched::RunResult& run) {
@@ -750,20 +672,6 @@ StepStats Solver::step() {
   stats.pm_seconds = phase("pm");
   stats.short_range_seconds = phase("sph") + phase("fmm_build") +
                               phase("short_range") + phase("far_field");
-  if (engine_) {
-    // Per-shard trees count alongside the global one (which the sharded
-    // pm_pp/treepm graphs no longer build; the fmm graph builds both).
-    const shard::EngineStats& e = engine_->stats();
-    stats.tree_builds += static_cast<int>(e.tree_builds - eng0.tree_builds);
-    stats.tree_reuses += static_cast<int>(e.tree_reuses - eng0.tree_reuses);
-    stats.tree_seconds += e.domain_seconds - eng0.domain_seconds;
-    stats.shard_migrated =
-        static_cast<std::int64_t>(e.migrated - eng0.migrated);
-    stats.shard_ghosts =
-        static_cast<std::int64_t>(e.ghost_copies - eng0.ghost_copies);
-    stats.shard_migrate_seconds = e.migrate_seconds - eng0.migrate_seconds;
-    stats.shard_exchange_seconds = e.exchange_seconds - eng0.exchange_seconds;
-  }
   const auto tally = [&stats](const ParticleSet& p, bool hydro) {
     for (std::size_t i = 0; i < p.size(); ++i) {
       const double m = p.mass[i];

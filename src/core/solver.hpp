@@ -30,7 +30,6 @@
 #include "ic/power_spectrum.hpp"
 #include "ic/zeldovich.hpp"
 #include "sched/task_graph.hpp"
-#include "shard/engine.hpp"
 #include "sph/pipeline.hpp"
 #include "xsycl/queue.hpp"
 
@@ -162,18 +161,6 @@ struct SimConfig {
   /// read-after-write, so overlap changes wall-clock only — like `variants`
   /// it is excluded from config_signature().
   OverlapMode sched_overlap = OverlapMode::kAuto;
-
-  /// Multi-domain spatial sharding (config keys shard.count /
-  /// shard.ghost_factor).  With count > 1 the box is decomposed into that
-  /// many sub-domains, each owning its own interaction domain over resident
-  /// particles plus an exact ghost halo (src/shard).  Execution tuning like
-  /// `variants`: the short-range pair set is exact for any count, so these
-  /// are excluded from config_signature() and may change across a restart —
-  /// but note the float summation order (and hence the low bits of the
-  /// forces) legitimately differs between count == 1 and count > 1; see
-  /// docs/CONFIG.md.
-  int shard_count = 1;
-  double shard_ghost_factor = 1.0;
 };
 
 /// Hash of every physics-affecting SimConfig field (particle counts, box,
@@ -204,9 +191,7 @@ struct StepStats {
   /// "pm", "short_range", ...), summed over this step's force evaluations:
   /// the one record the stage-derived fields below are computed from.
   std::map<std::string, double> phases;
-  /// Wall seconds in the tree stage, plus the shard engine's per-shard
-  /// domain updates in a sharded run.
-  double tree_seconds = 0.0;
+  double tree_seconds = 0.0;     ///< wall seconds in the propagator's tree stage
   double pm_seconds = 0.0;       ///< wall seconds in the propagator's pm stage
   /// Wall seconds in the tree-walk chain stages (sph + fmm build +
   /// short-range P-P + far field).
@@ -214,13 +199,6 @@ struct StepStats {
   /// Wall-clock won by stage overlap this step: the back-to-back sum of
   /// stage walls minus the actual graph walls (zero when running serially).
   double overlap_seconds = 0.0;
-  /// Sharded-run accounting (all zero when shard.count == 1): particles that
-  /// changed owner, halo slots filled, and the wall cost of migration and
-  /// ghost traffic this step.
-  std::int64_t shard_migrated = 0;
-  std::int64_t shard_ghosts = 0;
-  double shard_migrate_seconds = 0.0;
-  double shard_exchange_seconds = 0.0;
 };
 
 /// The time integrator.  Lifecycle: construct, then exactly one of
@@ -307,12 +285,6 @@ class Solver {
     return *domain_;
   }
 
-  /// The sharded force-evaluation engine, or nullptr when shard.count == 1
-  /// (or when nothing shards: the fmm backend without hydro keeps its global
-  /// tree for everything).  Tests and benches read residency, halo, and
-  /// traffic statistics through this.
-  const shard::ShardEngine* shard_engine() const { return engine_.get(); }
-
   /// Conserved-quantity summary of the current particle state.
   struct Diagnostics {
     double total_mass = 0.0;
@@ -372,11 +344,6 @@ class Solver {
   std::unique_ptr<gravity::PmSolver> pm_;
   std::unique_ptr<gravity::PolyShortForce> poly_;
   std::unique_ptr<domain::InteractionDomain> domain_;
-  // Sharded evaluation (shard.count > 1): short-range gravity and the SPH
-  // chain run per shard; the canonical sets, kick/drift, and checkpointing
-  // never see shards.  The fmm backend keeps its global tree (the far field
-  // is not shardable by a halo), so with fmm only hydro shards.
-  std::unique_ptr<shard::ShardEngine> engine_;
   xsycl::OpCounters fmm_ops_;
 
   // The step propagator: each force evaluation is a named-stage task graph

@@ -21,6 +21,7 @@
 #include <exception>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "obs/trace.hpp"
 #include "run/scenario.hpp"
@@ -34,7 +35,8 @@ void print_usage() {
       "usage: hacc_run [--list] [--config <file>] [--restart <ckpt>|auto] "
       "[--trace <out.json>] [key=value ...]\n"
       "       scenario=<name> selects a preset (see --list); every other\n"
-      "       key=value overrides it.  Keys: docs/CONFIG.md.\n"
+      "       key=value overrides it; an unknown key is an error.\n"
+      "       Keys: docs/CONFIG.md.\n"
       "       --restart auto resumes from the newest checkpoint that passes\n"
       "       full CRC validation, falling back to older ones.\n");
 }
@@ -144,6 +146,13 @@ int main(int argc, char** argv) {
   }
   n_threads = static_cast<unsigned>(
       cli.get_int("threads", static_cast<long>(n_threads)));
+  // Every key has now been read by whoever understands it; anything left is
+  // misspelt or retired, and running without it would silently change the run.
+  const std::vector<std::string> unknown = cli.unread_keys();
+  for (const std::string& key : unknown) {
+    std::fprintf(stderr, "hacc_run: unknown key '%s'\n", key.c_str());
+  }
+  if (!unknown.empty()) return 1;
   // Tracing must be armed BEFORE the pool exists: the worker-start hook
   // names each worker's lane as its thread launches.
   if (!trace_path.empty()) {

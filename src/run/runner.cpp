@@ -47,10 +47,6 @@ ScenarioRunner::ScenarioRunner(const core::SimConfig& sim, const RunOptions& opt
   m_sched_pm_s_ = m.counter("sched.pm_s");
   m_sched_short_s_ = m.counter("sched.short_s");
   m_sched_overlap_s_ = m.counter("sched.overlap_s");
-  m_shard_migrated_ = m.counter("shard.migrated");
-  m_shard_ghosts_ = m.counter("shard.ghosts");
-  m_shard_migrate_s_ = m.counter("shard.migrate_s");
-  m_shard_exchange_s_ = m.counter("shard.exchange_s");
   m_step_wall_s_ = m.histogram("step.wall_s");
   m_step_da_ = m.histogram("step.da");
   m_ops_launches_ = m.counter("ops.launches");
@@ -378,10 +374,6 @@ void ScenarioRunner::record_step_metrics(const core::StepStats& stats) {
   m.inc(m_sched_pm_s_, stats.pm_seconds);
   m.inc(m_sched_short_s_, stats.short_range_seconds);
   m.inc(m_sched_overlap_s_, stats.overlap_seconds);
-  m.inc(m_shard_migrated_, static_cast<double>(stats.shard_migrated));
-  m.inc(m_shard_ghosts_, static_cast<double>(stats.shard_ghosts));
-  m.inc(m_shard_migrate_s_, stats.shard_migrate_seconds);
-  m.inc(m_shard_exchange_s_, stats.shard_exchange_seconds);
   m.record(m_step_wall_s_, stats.wall_seconds);
   m.record(m_step_da_, stats.da);
   m.set(m_stepctl_da_, stats.da);
@@ -483,14 +475,11 @@ RunResult ScenarioRunner::run() {
                     "\"da\":%.10g,\"wall_s\":%.6f,\"ke\":%.8e,\"u\":%.8e,"
                     "\"vmax\":%.6g,\"gmax\":%.6g,\"tree_builds\":%d,"
                     "\"tree_reuses\":%d,\"tree_s\":%.6f,"
-                    "\"shard_migrated\":%lld,\"shard_ghosts\":%lld,"
                     "\"phases\":{",
                     stats.step, stats.a1, stats.z, stats.da, stats.wall_seconds,
                     stats.kinetic_energy, stats.thermal_energy,
                     stats.max_velocity, stats.max_acceleration,
-                    stats.tree_builds, stats.tree_reuses, stats.tree_seconds,
-                    static_cast<long long>(stats.shard_migrated),
-                    static_cast<long long>(stats.shard_ghosts));
+                    stats.tree_builds, stats.tree_reuses, stats.tree_seconds);
       // Per-step stage walls (not running totals); stage names are
       // lint-shaped, so they need no escaping.
       std::string line(buf);

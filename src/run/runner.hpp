@@ -168,10 +168,6 @@ class ScenarioRunner {
   obs::MetricsRegistry::Handle m_sched_pm_s_;       // counter: pm stage wall
   obs::MetricsRegistry::Handle m_sched_short_s_;    // counter: chain stages wall
   obs::MetricsRegistry::Handle m_sched_overlap_s_;  // counter: wall won by overlap
-  obs::MetricsRegistry::Handle m_shard_migrated_;   // counter: residency handovers
-  obs::MetricsRegistry::Handle m_shard_ghosts_;     // counter: halo slots filled
-  obs::MetricsRegistry::Handle m_shard_migrate_s_;  // counter: migration wall
-  obs::MetricsRegistry::Handle m_shard_exchange_s_; // counter: ghost-traffic wall
   obs::MetricsRegistry::Handle m_step_wall_s_;  // histogram
   obs::MetricsRegistry::Handle m_step_da_;      // histogram
   obs::MetricsRegistry::Handle m_ops_launches_;

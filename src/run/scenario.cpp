@@ -186,17 +186,6 @@ bool apply_config(const util::Config& cfg, core::SimConfig& sim,
     error = "invalid domain.skin (need domain.skin >= 0)";
     return false;
   }
-  sim.shard_count = static_cast<int>(cfg.get_int("shard.count", sim.shard_count));
-  if (sim.shard_count < 1) {
-    error = "invalid shard.count (need shard.count >= 1)";
-    return false;
-  }
-  sim.shard_ghost_factor =
-      cfg.get_double("shard.ghost_factor", sim.shard_ghost_factor);
-  if (!(sim.shard_ghost_factor >= 1.0)) {  // NaN-robust
-    error = "invalid shard.ghost_factor (need shard.ghost_factor >= 1)";
-    return false;
-  }
   if (sim.np_side < 2 || sim.n_steps < 1 || !(sim.box > 0.0) ||
       !(sim.z_init > sim.z_final)) {
     error = "invalid geometry/stepping (need np >= 2, steps >= 1, box > 0, "

@@ -41,8 +41,9 @@ bool find_scenario(const std::string& name, Scenario& out);
 
 /// Overlays config keys (np, box, steps, gravity.backend, run.mode, ...)
 /// onto a scenario's defaults.  Returns false and fills `error` on an
-/// invalid value; unknown keys are ignored (they may belong to the caller,
-/// e.g. `threads`).
+/// invalid value.  Keys it does not know are left unread (they may belong to
+/// the caller, e.g. `threads`); a caller that owns the whole config rejects
+/// what remains in `cfg.unread_keys()` once it has read its own keys.
 bool apply_config(const util::Config& cfg, core::SimConfig& sim,
                   RunOptions& run, std::string& error);
 

@@ -80,7 +80,16 @@ void Config::apply_overrides(int argc, const char* const* argv) {
   }
 }
 
+std::vector<std::string> Config::unread_keys() const {
+  std::vector<std::string> unread;
+  for (const auto& [key, value] : values_) {
+    if (read_.count(key) == 0) unread.push_back(key);
+  }
+  return unread;
+}
+
 std::string Config::get_string(const std::string& key, const std::string& fallback) const {
+  read_.insert(key);
   if (auto it = values_.find(key); it != values_.end()) return it->second;
   return fallback;
 }
@@ -98,6 +107,7 @@ bool fully_numeric(const char* begin, const char* end) {
 }  // namespace
 
 long Config::get_int(const std::string& key, long fallback) const {
+  read_.insert(key);
   if (auto it = values_.find(key); it != values_.end()) {
     char* end = nullptr;
     errno = 0;
@@ -108,6 +118,7 @@ long Config::get_int(const std::string& key, long fallback) const {
 }
 
 double Config::get_double(const std::string& key, double fallback) const {
+  read_.insert(key);
   if (auto it = values_.find(key); it != values_.end()) {
     char* end = nullptr;
     errno = 0;
@@ -118,6 +129,7 @@ double Config::get_double(const std::string& key, double fallback) const {
 }
 
 bool Config::get_bool(const std::string& key, bool fallback) const {
+  read_.insert(key);
   if (auto it = values_.find(key); it != values_.end()) {
     const std::string& v = it->second;
     if (v == "true" || v == "1" || v == "yes" || v == "on") return true;

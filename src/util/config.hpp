@@ -6,7 +6,9 @@
 
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
+#include <vector>
 
 namespace hacc::util {
 
@@ -23,7 +25,12 @@ class Config {
   // key=value (including a program path containing '=') are skipped.
   void apply_overrides(int argc, const char* const* argv);
 
-  bool has(const std::string& key) const { return values_.count(key) != 0; }
+  // has() and get_*() record the key as read, whether or not it is set, so
+  // even const reads must not race: read a Config from one thread at a time.
+  bool has(const std::string& key) const {
+    read_.insert(key);
+    return values_.count(key) != 0;
+  }
 
   std::string get_string(const std::string& key, const std::string& fallback) const;
   long get_int(const std::string& key, long fallback) const;
@@ -35,8 +42,14 @@ class Config {
   const std::string& error() const { return error_; }
   const std::map<std::string, std::string>& values() const { return values_; }
 
+  // Keys that are set but that no has()/get_*() call has read, in key order.
+  // Once every consumer has read its keys, these are unknown (misspelt or
+  // retired) keys.
+  std::vector<std::string> unread_keys() const;
+
  private:
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
   std::string error_;
 };
 

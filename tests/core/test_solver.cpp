@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "util/config.hpp"
@@ -158,29 +160,42 @@ TEST(Solver, StepPhasesTimeEachStageOnce) {
   // one "grav_pp" entry, counting short-range gravity twice.  Now the stage
   // executor times stages and the launch history times kernels, so the
   // grav_pp launches fit inside their short_range stage, and the StepStats
-  // stage fields are sums over phases.
-  SimConfig cfg = small_config();
-  cfg.np_side = 8;
-  cfg.n_steps = 1;
-  util::ThreadPool pool(2);
-  Solver solver(cfg, pool);
-  solver.initialize();
-  solver.queue().clear_history();
-  const StepStats s = solver.step();
-  const xsycl::KernelTime pp = solver.queue().time_by_kernel().at("grav_pp");
-  EXPECT_GT(pp.calls, 0u);
-  ASSERT_TRUE(s.phases.contains("short_range"));
-  EXPECT_LE(pp.seconds, s.phases.at("short_range"));
+  // stage fields are sums over phases.  Every backend builds one graph from
+  // the same stage names, and the tree stage is the only tree timing.
+  const std::set<std::string> stages = {"assemble",  "tree",        "sph",
+                                        "pm",        "fmm_build",   "short_range",
+                                        "far_field"};
+  for (const GravityBackend backend :
+       {GravityBackend::kPmPp, GravityBackend::kFmm, GravityBackend::kTreePm}) {
+    SCOPED_TRACE(to_string(backend));
+    SimConfig cfg = small_config();
+    cfg.np_side = 8;
+    cfg.n_steps = 1;
+    cfg.gravity_backend = backend;
+    util::ThreadPool pool(2);
+    Solver solver(cfg, pool);
+    solver.initialize();
+    solver.queue().clear_history();
+    const StepStats s = solver.step();
+    const xsycl::KernelTime pp = solver.queue().time_by_kernel().at("grav_pp");
+    EXPECT_GT(pp.calls, 0u);
+    ASSERT_TRUE(s.phases.contains("short_range"));
+    EXPECT_LE(pp.seconds, s.phases.at("short_range"));
+    for (const auto& [name, seconds] : s.phases) {
+      EXPECT_TRUE(stages.contains(name)) << "unexpected phase " << name;
+    }
 
-  const auto phase = [&s](const char* name) {
-    const auto it = s.phases.find(name);
-    return it == s.phases.end() ? 0.0 : it->second;
-  };
-  EXPECT_EQ(s.short_range_seconds, phase("sph") + phase("fmm_build") +
-                                       phase("short_range") +
-                                       phase("far_field"));
-  EXPECT_EQ(s.pm_seconds, phase("pm"));
-  EXPECT_EQ(s.tree_seconds, phase("tree"));
+    const auto phase = [&s](const char* name) {
+      const auto it = s.phases.find(name);
+      return it == s.phases.end() ? 0.0 : it->second;
+    };
+    EXPECT_EQ(s.short_range_seconds, phase("sph") + phase("fmm_build") +
+                                         phase("short_range") +
+                                         phase("far_field"));
+    EXPECT_EQ(s.pm_seconds, phase("pm"));
+    ASSERT_TRUE(s.phases.contains("tree"));
+    EXPECT_EQ(s.tree_seconds, s.phases.at("tree"));
+  }
 }
 
 TEST(Solver, MassIsExactlyBoxVolume) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 namespace hacc::run {
 namespace {
@@ -121,6 +123,28 @@ TEST(Scenario, DomainKeysRoundTripThroughConfig) {
   Scenario base;
   ASSERT_TRUE(find_scenario("paper-benchmark", base));
   EXPECT_EQ(core::config_signature(base.sim), core::config_signature(s.sim));
+}
+
+TEST(Scenario, KeysApplyConfigDoesNotReadStayUnread) {
+  // hacc_run rejects every key left unread after apply_config and its own
+  // reads, so a retired key and a misspelt one must both be left over, and
+  // no key apply_config knows may be.
+  Scenario s;
+  ASSERT_TRUE(find_scenario("paper-benchmark", s));
+  util::Config cfg;
+  cfg.set("np", "4");
+  cfg.set("steps", "1");
+  cfg.set("shard.count", "4");
+  cfg.set("run.chekpoint", "x.ckpt");
+  cfg.set("threads", "2");
+  std::string error;
+  ASSERT_TRUE(apply_config(cfg, s.sim, s.run, error)) << error;
+  EXPECT_EQ(cfg.unread_keys(),
+            (std::vector<std::string>{"run.chekpoint", "shard.count",
+                                      "threads"}));
+  cfg.get_int("threads", 0);  // the CLI's own key
+  EXPECT_EQ(cfg.unread_keys(),
+            (std::vector<std::string>{"run.chekpoint", "shard.count"}));
 }
 
 TEST(StepMode, StringRoundTrip) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace hacc::util {
 namespace {
 
@@ -120,6 +123,29 @@ TEST(Config, DottedKeysRoundTrip) {
   const char* argv[] = {"gravity.backend=treepm"};
   c.apply_overrides(1, argv);
   EXPECT_EQ(c.get_string("gravity.backend", ""), "treepm");
+}
+
+TEST(Config, UnreadKeysAreThoseNoAccessorRead) {
+  Config c;
+  ASSERT_TRUE(c.parse("np = 8\nbox = 25\nflag = on\nname = x\ntypo = 1\n"));
+  EXPECT_EQ(c.unread_keys(),
+            (std::vector<std::string>{"box", "flag", "name", "np", "typo"}));
+  c.get_int("np", 0);
+  c.get_double("box", 0.0);
+  c.get_bool("flag", false);
+  EXPECT_TRUE(c.has("name"));
+  // Reading an absent key records nothing that could be reported.
+  EXPECT_FALSE(c.has("missing"));
+  EXPECT_EQ(c.get_string("absent", "d"), "d");
+  EXPECT_EQ(c.unread_keys(), (std::vector<std::string>{"typo"}));
+  // A value that failed to parse was still read: it is invalid, not unknown.
+  c.get_int("typo", 0);
+  EXPECT_TRUE(c.unread_keys().empty());
+  // A key set after it was read counts as read.
+  c.set("np", "16");
+  EXPECT_TRUE(c.unread_keys().empty());
+  c.set("later", "1");
+  EXPECT_EQ(c.unread_keys(), (std::vector<std::string>{"later"}));
 }
 
 }  // namespace
