@@ -1,9 +1,9 @@
 // Neighbor-machinery benchmarks for the interaction-domain subsystem:
-// tree build vs Verlet-skin reuse cost, streamed pair-traversal throughput,
+// tree build vs Verlet-skin reuse cost, pair-list throughput,
 // and a skin sweep over a drifting particle set showing how the rebuild
 // policy cuts the per-step tree + pairs phase.  The summary emits
 // BENCH_neighbor.json (path override: HACC_BENCH_NEIGHBOR_JSON) next to
-// BENCH_pm.json / BENCH_run.json so every CI run leaves a comparable record.
+// BENCH_pm.json so every CI run leaves a comparable record.
 
 #include <benchmark/benchmark.h>
 
@@ -127,7 +127,7 @@ void BM_PairMaterialize(benchmark::State& state) {
   dom.update(set.pos);
   std::uint64_t pairs = 0;
   for (auto _ : state) {
-    const auto list = dom.interacting_pairs(cutoff);
+    const auto list = dom.pairs(cutoff);
     benchmark::DoNotOptimize(list.data());
     pairs += list.size();
   }

@@ -42,6 +42,11 @@ int main(int argc, char** argv) {
   cfg.variants = hacc::core::VariantSelection::uniform(variant);
 
   hacc::util::ThreadPool pool(static_cast<unsigned>(cli.get_int("threads", 0)));
+  if (const std::string unknown = cli.unknown_keys_report("adiabatic_universe");
+      !unknown.empty()) {
+    std::fputs(unknown.c_str(), stderr);
+    return 1;
+  }
   hacc::core::Solver solver(cfg, pool);
 
   std::printf("adiabatic universe: 2 x %d^3 particles, %s variant, sub-group %d\n",

@@ -42,6 +42,11 @@ int main(int argc, char** argv) {
   }
 
   hacc::util::ThreadPool pool(static_cast<unsigned>(cli.get_int("threads", 0)));
+  if (const std::string unknown = cli.unknown_keys_report("gravity_scaling");
+      !unknown.empty()) {
+    std::fputs(unknown.c_str(), stderr);
+    return 1;
+  }
   hacc::core::Solver solver(cfg, pool);
 
   const std::size_t n = static_cast<std::size_t>(cfg.np_side) * cfg.np_side *

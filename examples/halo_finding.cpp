@@ -25,6 +25,13 @@ int main(int argc, char** argv) {
   cfg.sigma_norm = cli.get_double("sigma", 2.5);  // boosted power -> visible halos
 
   hacc::util::ThreadPool pool(static_cast<unsigned>(cli.get_int("threads", 0)));
+  const double b = cli.get_double("b", 0.28);
+  const auto min_members = static_cast<std::int32_t>(cli.get_int("min_members", 8));
+  if (const std::string unknown = cli.unknown_keys_report("halo_finding");
+      !unknown.empty()) {
+    std::fputs(unknown.c_str(), stderr);
+    return 1;
+  }
   hacc::core::Solver solver(cfg, pool);
   std::printf("evolving %d^3 dark-matter particles to z=%.1f...\n", cfg.np_side,
               cfg.z_final);
@@ -34,8 +41,8 @@ int main(int argc, char** argv) {
   const double mean_sep = cfg.box / cfg.np_side;
 
   hacc::halo::FofOptions fof_opt;
-  fof_opt.linking_length = cli.get_double("b", 0.28) * mean_sep;
-  fof_opt.min_members = static_cast<std::int32_t>(cli.get_int("min_members", 8));
+  fof_opt.linking_length = b * mean_sep;
+  fof_opt.min_members = min_members;
   const auto fof = hacc::halo::friends_of_friends(pos, cfg.box, fof_opt);
 
   std::printf("\nFOF (b = %.2f mean separations, min %d members): %d halos\n",

@@ -26,6 +26,11 @@ int main(int argc, char** argv) {
   }
 
   hacc::util::ThreadPool pool(static_cast<unsigned>(cli.get_int("threads", 0)));
+  if (const std::string unknown = cli.unknown_keys_report("quickstart");
+      !unknown.empty()) {
+    std::fputs(unknown.c_str(), stderr);
+    return 1;
+  }
   hacc::core::Solver solver(cfg, pool);
 
   std::printf("CRK-HACC quickstart: 2 x %d^3 particles, box %.1f, z=%.0f -> z=%.0f in %d steps\n",

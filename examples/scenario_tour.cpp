@@ -14,6 +14,11 @@ int main(int argc, char** argv) {
   cli.apply_overrides(argc - 1, argv + 1);
   const int np = static_cast<int>(cli.get_int("np", 8));
   hacc::util::ThreadPool pool(static_cast<unsigned>(cli.get_int("threads", 0)));
+  if (const std::string unknown = cli.unknown_keys_report("scenario_tour");
+      !unknown.empty()) {
+    std::fputs(unknown.c_str(), stderr);
+    return 1;
+  }
 
   for (const auto& preset : hacc::run::scenarios()) {
     hacc::run::Scenario s = preset;

@@ -55,7 +55,13 @@ int main(int argc, char** argv) {
   if (cli.get_string("mode", "run") == "generate") {
     const int np = static_cast<int>(cli.get_int("np", 12));
     const double box = cli.get_double("box", 1.0);
-    auto gas = generate_gas(np, box, static_cast<std::uint64_t>(cli.get_int("seed", 7)));
+    const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
+    if (const std::string unknown = cli.unknown_keys_report("standalone_kernel");
+        !unknown.empty()) {
+      std::fputs(unknown.c_str(), stderr);
+      return 1;
+    }
+    auto gas = generate_gas(np, box, seed);
     // Prime the derived state so any kernel can run in isolation.
     hacc::util::ThreadPool pool;
     hacc::xsycl::Queue q(pool);
@@ -98,12 +104,16 @@ int main(int argc, char** argv) {
   popt.hydro.box = static_cast<float>(box);
   popt.hydro.variant = variant;
   popt.hydro.launch.sub_group_size = static_cast<int>(cli.get_int("sg", 32));
-  const auto pipe = hacc::sph::build_pipeline(gas, popt);
-
   hacc::util::ThreadPool pool(static_cast<unsigned>(cli.get_int("threads", 0)));
-  hacc::xsycl::Queue q(pool);
-
   const int repeats = static_cast<int>(cli.get_int("repeats", 3));
+  if (const std::string unknown = cli.unknown_keys_report("standalone_kernel");
+      !unknown.empty()) {
+    std::fputs(unknown.c_str(), stderr);
+    return 1;
+  }
+
+  const auto pipe = hacc::sph::build_pipeline(gas, popt);
+  hacc::xsycl::Queue q(pool);
   std::printf("standalone %s: %zu particles, %zu leaf pairs, %s, sg %d, %d repeats\n",
               kernel.c_str(), gas.size(), pipe.pairs.size(), to_string(variant),
               popt.hydro.launch.sub_group_size, repeats);

@@ -422,24 +422,20 @@ gravity::PpOptions Solver::pp_options(double g_code) const {
 void Solver::run_hydro_kernels(bool corrector) {
   update_smoothing_lengths();
   const domain::SpeciesView gas_view = domain_->second();
-  // Five kernels consume the same pair set, so walk the tree ONCE into a
-  // scratch whose capacity persists across evaluations (a streamed source
-  // would re-traverse per kernel).  Leaf pairs of the combined tree with
-  // no gas on either side do zero SPH work — drop them here.  Gravity
-  // has a single consumer and streams its pairs without materializing.
-  sph_pairs_scratch_.clear();
+  // The five kernels read one pair list.  Leaf pairs of the combined tree
+  // with no gas on either side do zero SPH work — drop them here.
+  std::vector<tree::LeafPair> sph_pairs;
   {
     const obs::TraceSpan span("core.sph_pairs");
     domain_->for_each_pair(
-        sph::support_cutoff(gas_), [this, &gas_view](const tree::LeafPair& lp) {
+        sph::support_cutoff(gas_), [&](const tree::LeafPair& lp) {
           if (gas_view.leaves[lp.a].count() == 0 ||
               gas_view.leaves[lp.b].count() == 0) {
             return;
           }
-          sph_pairs_scratch_.push_back(lp);
+          sph_pairs.push_back(lp);
         });
   }
-  const domain::PairSource sph_pairs(sph_pairs_scratch_);
   const auto& v = cfg_.variants;
   sph::run_geometry(queue_, gas_, gas_view, sph_pairs,
                     hydro_options(cfg_, v.geometry));
@@ -470,7 +466,7 @@ sched::RunResult Solver::compute_forces(bool corrector) {
   //
   // The pm stage reads grav_pos_/grav_mass_d_ and writes grav_accel_pm_ —
   // disjoint from everything the chain touches — so with overlap enabled it
-  // runs concurrently with the tree walk and the short-range batch stream.
+  // runs concurrently with the tree walk and the short-range kernels.
   // Declaration order IS today's serial order, so the zero-lane executor
   // reproduces the pre-propagator step bit-for-bit.
   sched::TaskGraph graph;

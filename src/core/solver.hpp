@@ -326,15 +326,6 @@ class Solver {
   bool use_restored_hydro_forces_ = false;
   double h0_ = 0.0;  // fiducial smoothing length
 
-  // Hydro leaf-pair scratch: filled by one tree walk per force evaluation
-  // and fed to all five SPH kernels; capacity persists across evaluations.
-  // Written only by the driver thread (the streamed traversal visits pairs
-  // on the calling thread); worker threads read it through PairSource during
-  // kernel launches, after the fill completes — so it needs no lock, but it
-  // also makes the Solver thread-compatible rather than thread-safe
-  // (docs/CONCURRENCY.md): one driver thread per Solver instance.
-  std::vector<tree::LeafPair> sph_pairs_scratch_;
-
   // Combined-species gravity scratch.
   std::vector<util::Vec3d> grav_pos_;
   std::vector<double> grav_mass_d_;

@@ -31,15 +31,6 @@ bool parse_rebuild_policy(const std::string& name, RebuildPolicy& out) {
   return true;
 }
 
-PairSource PairSource::streamed(const InteractionDomain& dom, double cutoff,
-                                std::size_t batch) {
-  PairSource src;
-  src.stream_ = &dom;
-  src.cutoff_ = cutoff;
-  src.batch_ = std::max<std::size_t>(1, batch);
-  return src;
-}
-
 InteractionDomain::InteractionDomain(const DomainOptions& opt) : opt_(opt) {
   if (!(opt_.box > 0.0)) {
     throw std::invalid_argument(
@@ -178,8 +169,7 @@ SpeciesView InteractionDomain::second() const {
   return {leaves_second_.data(), order_local_.data(), leaves_second_.size()};
 }
 
-std::vector<tree::LeafPair> InteractionDomain::interacting_pairs(
-    double cutoff) const {
+std::vector<tree::LeafPair> InteractionDomain::pairs(double cutoff) const {
   return checked_tree().interacting_pairs(cutoff);
 }
 

@@ -13,13 +13,10 @@
 /// existing leaves by refreshing every AABB, which keeps pair enumeration
 /// (and therefore forces) exact.
 ///
-/// Pair enumeration is a streamed visitor walk: `PairSource` feeds kernel
-/// launches in leaf-pair batches straight out of it, so a single-consumer
-/// hot path (short-range gravity) materializes nothing.  Multi-consumer
-/// paths (the five SPH kernels) instead collect ONE walk into a reusable
-/// scratch rather than re-traversing per kernel — see Solver::compute_forces.
-/// `interacting_pairs()` remains as a thin materializing wrapper for tests
-/// and the FMM interaction builder.
+/// Pair enumeration is one visitor walk per force evaluation and cutoff:
+/// `pairs()` materializes it into the leaf-pair list every pair kernel of
+/// that evaluation reads (`PairSource` is a view of such a list).  The
+/// drivers that run the kernels over it live in `src/pairs/`.
 
 #include <cstdint>
 #include <memory>
@@ -73,7 +70,7 @@ struct DomainStats {
 
 /// A species-filtered window onto the shared tree: per-leaf slot sub-ranges
 /// plus the slot -> species-local particle index permutation.  These are
-/// exactly the two arrays the half-warp pair kernels consume, so a view (not
+/// exactly the two arrays both pair drivers consume, so a view (not
 /// a tree) is what every kernel runner takes.  Implicitly constructible from
 /// a bare RcbTree for the single-species / tooling paths.
 struct SpeciesView {
@@ -91,43 +88,15 @@ struct SpeciesView {
         n_leaves(t.leaves().size()) {}
 };
 
-class InteractionDomain;
-
-/// One kernel launch's worth of leaf pairs: either an already materialized
-/// list (tests, FMM near lists) or a streamed dual-tree walk delivered in
-/// fixed-size batches.  Kernel runners iterate `for_each_batch` and submit
-/// one launch per batch, so the streamed path never holds more than `batch`
-/// pairs at once.
-class PairSource {
- public:
-  static constexpr std::size_t kDefaultBatch = 4096;
-
-  // NOLINTNEXTLINE(google-explicit-constructor): call-site compatibility.
-  PairSource(std::span<const tree::LeafPair> pairs) : pairs_(pairs) {}
-  // NOLINTNEXTLINE(google-explicit-constructor): call-site compatibility.
-  PairSource(const std::vector<tree::LeafPair>& pairs) : pairs_(pairs) {}
-
-  /// A streamed source over the domain's shared tree at the given cutoff.
-  static PairSource streamed(const InteractionDomain& dom, double cutoff,
-                             std::size_t batch = kDefaultBatch);
-
-  /// Invokes f(std::span<const tree::LeafPair>) for each non-empty batch.
-  template <typename F>
-  void for_each_batch(F&& f) const;  // defined below InteractionDomain
-
- private:
-  PairSource() = default;
-
-  std::span<const tree::LeafPair> pairs_{};
-  const InteractionDomain* stream_ = nullptr;
-  double cutoff_ = 0.0;
-  std::size_t batch_ = kDefaultBatch;
-};
+/// The leaf pairs one kernel launch reads: a view of a materialized list,
+/// canonical (a <= b), duplicate-free and in walk order when it comes from
+/// InteractionDomain::pairs().
+using PairSource = std::span<const tree::LeafPair>;
 
 /// The shared per-step neighbor structure.  Lifecycle: construct once with
 /// the box/leaf/skin knobs, then call update() exactly once per force
-/// evaluation with the combined position gather; views and pair sources stay
-/// valid until the next update().
+/// evaluation with the combined position gather; views and pair lists
+/// describe the tree of the last update().
 class InteractionDomain {
  public:
   explicit InteractionDomain(const DomainOptions& opt);
@@ -160,22 +129,20 @@ class InteractionDomain {
   /// Species B ([n_first, n)), species-local indices.
   SpeciesView second() const;
 
-  /// Streamed canonical leaf-pair traversal at `cutoff` (exact,
+  /// The canonical leaf-pair walk at `cutoff` (exact,
   /// duplicate-free; see RcbTree::for_each_pair).
   template <typename Visitor>
   void for_each_pair(double cutoff, Visitor&& visit) const {
     tree().for_each_pair(cutoff, visit);
   }
 
-  /// Streamed pair source for kernel launches at `cutoff`.
-  PairSource pairs(double cutoff,
-                   std::size_t batch = PairSource::kDefaultBatch) const {
-    return PairSource::streamed(*this, cutoff, batch);
-  }
+  /// The canonical leaf pairs at `cutoff`, materialized in walk order.
+  std::vector<tree::LeafPair> pairs(double cutoff) const;
 
-  /// Materialized pair list — thin wrapper over the streamed walk, kept for
-  /// tests and the FMM interaction builder.
-  std::vector<tree::LeafPair> interacting_pairs(double cutoff) const;
+  /// Alias of pairs(), kept for perfbench/driver's call sites.
+  std::vector<tree::LeafPair> interacting_pairs(double cutoff) const {
+    return pairs(cutoff);
+  }
 
  private:
   struct Drift {
@@ -206,23 +173,5 @@ class InteractionDomain {
   std::vector<tree::Leaf> leaves_first_;
   std::vector<tree::Leaf> leaves_second_;
 };
-
-template <typename F>
-void PairSource::for_each_batch(F&& f) const {
-  if (stream_ == nullptr) {
-    if (!pairs_.empty()) f(pairs_);
-    return;
-  }
-  std::vector<tree::LeafPair> buf;
-  buf.reserve(batch_);
-  stream_->for_each_pair(cutoff_, [&](const tree::LeafPair& lp) {
-    buf.push_back(lp);
-    if (buf.size() == batch_) {
-      f(std::span<const tree::LeafPair>(buf));
-      buf.clear();
-    }
-  });
-  if (!buf.empty()) f(std::span<const tree::LeafPair>(buf));
-}
 
 }  // namespace hacc::domain

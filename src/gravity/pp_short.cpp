@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "sph/half_warp.hpp"
+#include "pairs/pairs.hpp"
 #include "util/vec3.hpp"
 #include "xsycl/atomic.hpp"
 
@@ -80,8 +80,8 @@ xsycl::LaunchStats run_pp_short(xsycl::Queue& q, const GravityArrays& arrays,
   traits.G = opt.G;
   traits.eps2 = opt.softening * opt.softening;
   traits.rcut2 = static_cast<float>(poly.r_cut() * poly.r_cut());
-  return sph::launch_pair_batches(q, timer_name, traits, view, pairs,
-                                  opt.variant, opt.launch);
+  return pairs::launch(q, timer_name, traits, view, pairs, opt.variant,
+                       opt.launch);
 }
 
 void reference_pp_short(const GravityArrays& arrays, const PolyShortForce& poly,

@@ -3,12 +3,12 @@
 /// \file
 /// Short-range particle-particle gravity: the direct-comparison kernel
 /// branch of HACC (§3.1).  Its Traits run through the same pair drivers as
-/// the SPH kernels, selected by PpOptions::variant: the default kNative is
-/// the production driver (sph/native.hpp — owner-computes per leaf, exact
-/// cutoff prefilter, bit-identical at any thread count); a study variant
-/// runs the half-warp sub-group emulation (sph/half_warp.hpp), so the
-/// portability study exercises the xsycl communication variants end to
-/// end.
+/// the SPH kernels (src/pairs), selected by PpOptions::variant: the default
+/// kNative is the production driver (pairs/native.hpp — owner-computes per
+/// leaf, exact cutoff prefilter, bit-identical at any thread count); a
+/// study variant runs the half-warp sub-group emulation
+/// (pairs/half_warp.hpp), so the portability study exercises the xsycl
+/// communication variants end to end.
 
 #include <span>
 
@@ -47,9 +47,9 @@ inline constexpr double kGravityPpFlops = 40.0;
 
 /// Runs the short-range kernel over the leaf pairs of `pairs` (cutoff must
 /// match poly.r_cut()).  The view is a whole tree (implicit conversion) or a
-/// species-filtered window of the shared interaction domain; the source may
-/// be streamed.  Accelerations are accumulated into arrays.ax/ay/az — under
-/// kNative with one add per particle.
+/// species-filtered window of the shared interaction domain.  Accelerations
+/// are accumulated into arrays.ax/ay/az — under kNative with one add per
+/// particle.
 xsycl::LaunchStats run_pp_short(xsycl::Queue& q, const GravityArrays& arrays,
                                 const domain::SpeciesView& view,
                                 const domain::PairSource& pairs,

@@ -5,8 +5,9 @@
 // variants (kSelect ... kVISA) run here: a lane-by-lane emulation of the GPU
 // sub-group algorithm whose op counters feed the platform cost model.  The
 // production driver, selected by kNative (the default of every kernel
-// option struct), is the owner-computes CPU loop of sph/native.hpp; both
-// run the same Traits, and launch_pair_batches below picks between them.
+// option struct), is the owner-computes CPU loop of pairs/native.hpp; both
+// run the same Traits, and pairs::launch (pairs/pairs.hpp) picks between
+// them.
 //
 // One sub-group processes one interacting leaf pair.  The lower half of the
 // sub-group owns particles from leaf A, the upper half from leaf B; each
@@ -19,31 +20,17 @@
 // broadcast particle are combined with reduce_over_group, and only one
 // atomic update per particle is issued — "fewer atomic instructions".
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 
 #include "domain/domain.hpp"
-#include "sph/native.hpp"
 #include "tree/rcb.hpp"
 #include "xsycl/atomic.hpp"
 #include "xsycl/comm_variant.hpp"
 #include "xsycl/queue.hpp"
 
-namespace hacc::sph {
-
-// Traits contract, shared by both drivers (implementations in
-// geometry.cpp ... energy.cpp and gravity/pp_short.cpp):
-//   using State;                       // trivially copyable, 4-byte multiple,
-//                                      // with px, py, pz, idx and valid
-//   using Accum;                       // default-zero, operator+=
-//   static constexpr int kAccumWords;  // floats committed per particle
-//   float box;                         // periodic box interact images in
-//   State load(std::int32_t i) const;
-//   Accum interact(const State& own, const State& other) const;
-//   void commit(xsycl::SubGroup&, std::int32_t idx, const Accum&) const;
-//   float reach2(const State& s) const;  // native prefilter: interact is
-//                                        // exactly zero once the minimum-
-//                                        // image r² >= max(reach2(own),
-//                                        // reach2(other))
+namespace hacc::pairs {
 
 template <typename Traits>
 class PairInteractionKernel {
@@ -214,65 +201,4 @@ class PairInteractionKernel {
   xsycl::CommVariant variant_;
 };
 
-// Per-particle "finalize" kernels (self terms, moment solves, EOS): one lane
-// per particle, S particles per sub-group.
-template <typename Body>
-class ForEachParticleKernel {
- public:
-  ForEachParticleKernel(std::string name, std::size_t n, Body body)
-      : name_(std::move(name)), n_(n), body_(std::move(body)) {}
-
-  std::string name() const { return name_; }
-  std::size_t local_bytes_per_sg(int) const { return 0; }
-  std::size_t n_particles() const { return n_; }
-
-  void operator()(xsycl::SubGroup& sg) const {
-    for (int l = 0; l < sg.size(); ++l) {
-      const std::size_t i = sg.index() * static_cast<std::size_t>(sg.size()) + l;
-      if (i < n_) body_(static_cast<std::int32_t>(i));
-    }
-    sg.counters().global_loads += static_cast<std::uint64_t>(sg.size());
-    sg.counters().global_stores += static_cast<std::uint64_t>(sg.size());
-  }
-
- private:
-  std::string name_;
-  std::size_t n_;
-  Body body_;
-};
-
-// Sub-groups needed to cover n particles one lane each.
-inline std::uint64_t subgroups_for(std::size_t n, int sg_size) {
-  return (n + sg_size - 1) / static_cast<std::size_t>(sg_size);
-}
-
-// The one pair-launch entry shared by the SPH kernel runners and gravity's
-// run_pp_short.  kNative runs the production driver (sph/native.hpp) as a
-// single launch; every study variant submits one PairInteractionKernel
-// launch per batch of the pair source and accumulates the per-launch stats
-// into a single record.
-template <typename Traits>
-xsycl::LaunchStats launch_pair_batches(xsycl::Queue& q, const std::string& name,
-                                       const Traits& traits,
-                                       const domain::SpeciesView& view,
-                                       const domain::PairSource& pairs,
-                                       xsycl::CommVariant variant,
-                                       const xsycl::LaunchConfig& launch) {
-  if (variant == xsycl::CommVariant::kNative) {
-    return launch_native(q, name, traits, view, pairs, launch);
-  }
-  xsycl::LaunchStats total;
-  total.kernel = name;
-  total.sub_group_size = launch.sub_group_size;
-  pairs.for_each_batch([&](std::span<const tree::LeafPair> batch) {
-    PairInteractionKernel<Traits> kernel(name, traits, view, batch.data(),
-                                         batch.size(), variant);
-    const xsycl::LaunchStats stats = q.submit(kernel, batch.size(), launch);
-    total.n_sub_groups += stats.n_sub_groups;
-    total.seconds += stats.seconds;
-    total.ops.merge(stats.ops);
-  });
-  return total;
-}
-
-}  // namespace hacc::sph
+}  // namespace hacc::pairs

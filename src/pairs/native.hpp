@@ -2,13 +2,13 @@
 
 // The native pair driver: the production path of the six pair kernels
 // (geometry, corrections, extras, acceleration, energy and short-range
-// gravity) on a CPU host.  The half-warp harness in sph/half_warp.hpp
+// gravity) on a CPU host.  The half-warp harness in pairs/half_warp.hpp
 // emulates a GPU sub-group lane by lane for the portability study; this
 // driver specializes the loop for the host instead — the paper's recipe of
 // a target-specific loop around shared physics — while every kernel's
 // Traits::interact stays the single physics source.
 //
-// Owner computes.  The pair source is materialized once into a CSR of
+// Owner computes.  The launch's leaf-pair list is turned into a CSR of
 // partner leaves per leaf (pair (a, b) listed under a and under b, a self
 // pair once, in walk order), and one launch runs one sub-group index per
 // leaf.  A leaf loads its own states once, streams each partner leaf
@@ -28,7 +28,7 @@
 // partner's whole box skips it); otherwise it falls back to a per-pair
 // minimum image.
 //
-// The Traits contract is listed in sph/half_warp.hpp.
+// The Traits contract is listed in pairs/pairs.hpp.
 
 #include <algorithm>
 #include <atomic>
@@ -46,33 +46,14 @@
 #include "util/vec3.hpp"
 #include "xsycl/queue.hpp"
 
-namespace hacc::sph {
+namespace hacc::pairs {
 
 // Partner leaves of every leaf in compressed-row form, in walk order.
 struct LeafPartners {
   std::vector<std::int32_t> offsets;   // n_leaves + 1 row starts
   std::vector<std::int32_t> partners;  // partner leaf indices
 
-  static LeafPartners build(std::size_t n_leaves, const domain::PairSource& pairs) {
-    std::vector<tree::LeafPair> list;
-    pairs.for_each_batch([&list](std::span<const tree::LeafPair> batch) {
-      list.insert(list.end(), batch.begin(), batch.end());
-    });
-    LeafPartners out;
-    out.offsets.assign(n_leaves + 1, 0);
-    for (const tree::LeafPair& lp : list) {
-      ++out.offsets[lp.a + 1];
-      if (lp.b != lp.a) ++out.offsets[lp.b + 1];
-    }
-    for (std::size_t l = 0; l < n_leaves; ++l) out.offsets[l + 1] += out.offsets[l];
-    out.partners.resize(out.offsets[n_leaves]);
-    std::vector<std::int32_t> next(out.offsets.begin(), out.offsets.end() - 1);
-    for (const tree::LeafPair& lp : list) {
-      out.partners[next[lp.a]++] = lp.b;
-      if (lp.b != lp.a) out.partners[next[lp.b]++] = lp.a;
-    }
-    return out;
-  }
+  static LeafPartners build(std::size_t n_leaves, domain::PairSource pairs);
 };
 
 namespace native_detail {
@@ -311,14 +292,13 @@ class NativePairKernel {
   bool prefilter_;
 };
 
-// Runs one native launch over the pair source: one sub-group index per leaf
-// of the view, so the launch history, the per-kernel cascade and the
-// xsycl.<kernel> trace spans see one launch per call.
+// Runs one native launch over the pair list: one sub-group index per leaf
+// of the view.
 template <typename Traits>
 xsycl::LaunchStats launch_native(xsycl::Queue& q, const std::string& name,
                                  const Traits& traits,
                                  const domain::SpeciesView& view,
-                                 const domain::PairSource& pairs,
+                                 domain::PairSource pairs,
                                  const xsycl::LaunchConfig& launch) {
   const LeafPartners csr = LeafPartners::build(view.n_leaves, pairs);
   const NativePairKernel<Traits> kernel(name, traits, view, csr,
@@ -330,4 +310,4 @@ xsycl::LaunchStats launch_native(xsycl::Queue& q, const std::string& name,
   return q.submit(kernel, view.n_leaves, cfg);
 }
 
-}  // namespace hacc::sph
+}  // namespace hacc::pairs

@@ -146,13 +146,11 @@ int main(int argc, char** argv) {
   }
   n_threads = static_cast<unsigned>(
       cli.get_int("threads", static_cast<long>(n_threads)));
-  // Every key has now been read by whoever understands it; anything left is
-  // misspelt or retired, and running without it would silently change the run.
-  const std::vector<std::string> unknown = cli.unread_keys();
-  for (const std::string& key : unknown) {
-    std::fprintf(stderr, "hacc_run: unknown key '%s'\n", key.c_str());
+  if (const std::string unknown = cli.unknown_keys_report("hacc_run");
+      !unknown.empty()) {
+    std::fputs(unknown.c_str(), stderr);
+    return 1;
   }
-  if (!unknown.empty()) return 1;
   // Tracing must be armed BEFORE the pool exists: the worker-start hook
   // names each worker's lane as its thread launches.
   if (!trace_path.empty()) {

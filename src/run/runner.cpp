@@ -43,7 +43,6 @@ ScenarioRunner::ScenarioRunner(const core::SimConfig& sim, const RunOptions& opt
   auto& m = obs::MetricsRegistry::global();
   m_tree_builds_ = m.counter("tree.builds");
   m_tree_reuses_ = m.counter("tree.reuses");
-  m_tree_s_ = m.counter("tree.build_s");
   m_sched_pm_s_ = m.counter("sched.pm_s");
   m_sched_short_s_ = m.counter("sched.short_s");
   m_sched_overlap_s_ = m.counter("sched.overlap_s");
@@ -370,7 +369,6 @@ void ScenarioRunner::record_step_metrics(const core::StepStats& stats) {
   auto& m = obs::MetricsRegistry::global();
   m.inc(m_tree_builds_, stats.tree_builds);
   m.inc(m_tree_reuses_, stats.tree_reuses);
-  m.inc(m_tree_s_, stats.tree_seconds);
   m.inc(m_sched_pm_s_, stats.pm_seconds);
   m.inc(m_sched_short_s_, stats.short_range_seconds);
   m.inc(m_sched_overlap_s_, stats.overlap_seconds);
@@ -474,12 +472,11 @@ RunResult ScenarioRunner::run() {
                     "{\"type\":\"step\",\"step\":%d,\"a\":%.17g,\"z\":%.6f,"
                     "\"da\":%.10g,\"wall_s\":%.6f,\"ke\":%.8e,\"u\":%.8e,"
                     "\"vmax\":%.6g,\"gmax\":%.6g,\"tree_builds\":%d,"
-                    "\"tree_reuses\":%d,\"tree_s\":%.6f,"
-                    "\"phases\":{",
+                    "\"tree_reuses\":%d,\"phases\":{",
                     stats.step, stats.a1, stats.z, stats.da, stats.wall_seconds,
                     stats.kinetic_energy, stats.thermal_energy,
                     stats.max_velocity, stats.max_acceleration,
-                    stats.tree_builds, stats.tree_reuses, stats.tree_seconds);
+                    stats.tree_builds, stats.tree_reuses);
       // Per-step stage walls (not running totals); stage names are
       // lint-shaped, so they need no escaping.
       std::string line(buf);

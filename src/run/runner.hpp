@@ -164,7 +164,6 @@ class ScenarioRunner {
   // event and in the run_summary event (docs/OBSERVABILITY.md).
   obs::MetricsRegistry::Handle m_tree_builds_;
   obs::MetricsRegistry::Handle m_tree_reuses_;
-  obs::MetricsRegistry::Handle m_tree_s_;
   obs::MetricsRegistry::Handle m_sched_pm_s_;       // counter: pm stage wall
   obs::MetricsRegistry::Handle m_sched_short_s_;    // counter: chain stages wall
   obs::MetricsRegistry::Handle m_sched_overlap_s_;  // counter: wall won by overlap

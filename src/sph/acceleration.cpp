@@ -63,7 +63,8 @@ xsycl::LaunchStats run_acceleration(xsycl::Queue& q, core::ParticleSet& p,
 
   AccelerationTraits traits{&p,       p.ax.data(), p.ay.data(), p.az.data(),
                             p.vsig.data(), opt.box,     opt.visc};
-  return launch_pairs(q, timer_name, traits, view, pairs, opt);
+  return pairs::launch(q, timer_name, traits, view, pairs, opt.variant,
+                       opt.launch);
 }
 
 }  // namespace hacc::sph

@@ -102,7 +102,8 @@ xsycl::LaunchStats run_corrections(xsycl::Queue& q, core::ParticleSet& p,
   std::fill(p.moments.begin(), p.moments.end(), 0.f);
 
   CorrectionsTraits traits{&p, p.moments.data(), opt.box};
-  const auto stats = launch_pairs(q, timer_name, traits, view, pairs, opt);
+  const auto stats = pairs::launch(q, timer_name, traits, view, pairs,
+                                   opt.variant, opt.launch);
 
   // Finalize: self contribution + double-precision moment solve per particle.
   auto* moments = p.moments.data();

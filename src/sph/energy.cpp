@@ -46,7 +46,8 @@ xsycl::LaunchStats run_energy(xsycl::Queue& q, core::ParticleSet& p,
                               const HydroOptions& opt, const std::string& timer_name) {
   std::fill(p.du.begin(), p.du.end(), 0.f);
   EnergyTraits traits{&p, p.du.data(), opt.box, opt.visc};
-  return launch_pairs(q, timer_name, traits, view, pairs, opt);
+  return pairs::launch(q, timer_name, traits, view, pairs, opt.variant,
+                       opt.launch);
 }
 
 }  // namespace hacc::sph

@@ -64,7 +64,8 @@ xsycl::LaunchStats run_extras(xsycl::Queue& q, core::ParticleSet& p,
   std::fill(p.dvel.begin(), p.dvel.end(), 0.f);
 
   ExtrasTraits traits{&p, p.rho.data(), p.dvel.data(), opt.box};
-  const auto stats = launch_pairs(q, timer_name, traits, view, pairs, opt);
+  const auto stats = pairs::launch(q, timer_name, traits, view, pairs,
+                                   opt.variant, opt.launch);
 
   // Finalize: self density term + equation of state.
   auto* rho = p.rho.data();

@@ -47,7 +47,8 @@ xsycl::LaunchStats run_geometry(xsycl::Queue& q, core::ParticleSet& p,
   std::fill(p.m0.begin(), p.m0.end(), 0.f);
 
   GeometryTraits traits{&p, p.m0.data(), opt.box};
-  const auto stats = launch_pairs(q, timer_name, traits, view, pairs, opt);
+  const auto stats = pairs::launch(q, timer_name, traits, view, pairs,
+                                   opt.variant, opt.launch);
 
   // Finalize: add the self contribution and invert to a volume.
   auto* m0 = p.m0.data();

@@ -25,7 +25,7 @@ Pipeline build_pipeline(const core::ParticleSet& p, const PipelineOptions& opt) 
 void update_pipeline(Pipeline& pipe, const core::ParticleSet& p) {
   pipe.cutoff = support_cutoff(p);
   pipe.domain->update(p.positions());
-  pipe.pairs = pipe.domain->interacting_pairs(pipe.cutoff);
+  pipe.pairs = pipe.domain->pairs(pipe.cutoff);
 }
 
 void run_hydro_chain(xsycl::Queue& q, core::ParticleSet& p, const Pipeline& pipe,

@@ -88,6 +88,14 @@ std::vector<std::string> Config::unread_keys() const {
   return unread;
 }
 
+std::string Config::unknown_keys_report(const std::string& program) const {
+  std::string report;
+  for (const std::string& key : unread_keys()) {
+    report += program + ": unknown key '" + key + "'\n";
+  }
+  return report;
+}
+
 std::string Config::get_string(const std::string& key, const std::string& fallback) const {
   read_.insert(key);
   if (auto it = values_.find(key); it != values_.end()) return it->second;

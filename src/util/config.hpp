@@ -47,6 +47,12 @@ class Config {
   // retired) keys.
   std::vector<std::string> unread_keys() const;
 
+  // One "<program>: unknown key '<key>'" line per unread key; empty when
+  // every set key was read.  A CLI checks it once every consumer has read
+  // its keys, and prints it and exits 1 when it is not empty: running
+  // without a misspelt or retired key would silently change the run.
+  std::string unknown_keys_report(const std::string& program) const;
+
  private:
   std::map<std::string, std::string> values_;
   mutable std::set<std::string> read_;

@@ -63,14 +63,13 @@ TEST(DomainLifecycle, UseBeforeUpdateThrows) {
   EXPECT_FALSE(dom.ready());
   EXPECT_THROW(dom.tree(), std::logic_error);
   EXPECT_THROW(dom.all(), std::logic_error);
-  EXPECT_THROW(dom.interacting_pairs(1.0), std::logic_error);
+  EXPECT_THROW(dom.pairs(1.0), std::logic_error);
 }
 
-// The satellite property test: the streamed for_each_pair traversal (and its
-// batched PairSource delivery) enumerates exactly the canonical
-// duplicate-free pair set of RcbTree::interacting_pairs, across random point
-// sets, cutoffs, and leaf sizes.
-TEST(DomainTraversalParity, StreamedBatchesMatchMaterializedPairsExactly) {
+// The pair list a force evaluation reads, pairs(cutoff), is the
+// for_each_pair walk in order, canonical and duplicate-free, across random
+// point sets, cutoffs, and leaf sizes.
+TEST(DomainTraversalParity, PairListMatchesWalkExactly) {
   const double box = 10.0;
   for (const int n : {1, 50, 400}) {
     for (const int leaf_size : {1, 4, 16}) {
@@ -78,39 +77,20 @@ TEST(DomainTraversalParity, StreamedBatchesMatchMaterializedPairsExactly) {
         const auto pos = random_positions(n, box, 100 + n + leaf_size);
         InteractionDomain dom(make_options(box, leaf_size));
         dom.update(pos);
-        const auto materialized = dom.tree().interacting_pairs(cutoff);
+        const auto list = dom.pairs(cutoff);
 
-        // Streamed visitor parity (order included).
-        std::vector<tree::LeafPair> streamed;
+        std::vector<tree::LeafPair> walked;
         dom.for_each_pair(cutoff,
-                          [&](const tree::LeafPair& lp) { streamed.push_back(lp); });
-        ASSERT_EQ(streamed.size(), materialized.size());
-        for (std::size_t k = 0; k < streamed.size(); ++k) {
-          ASSERT_EQ(streamed[k].a, materialized[k].a);
-          ASSERT_EQ(streamed[k].b, materialized[k].b);
+                          [&](const tree::LeafPair& lp) { walked.push_back(lp); });
+        ASSERT_EQ(list.size(), walked.size());
+        for (std::size_t k = 0; k < walked.size(); ++k) {
+          ASSERT_EQ(list[k].a, walked[k].a);
+          ASSERT_EQ(list[k].b, walked[k].b);
         }
-
-        // Batched delivery parity with an awkward batch size that forces
-        // several partial flushes.
-        std::vector<tree::LeafPair> batched;
-        std::size_t batches = 0;
-        dom.pairs(cutoff, /*batch=*/7).for_each_batch(
-            [&](std::span<const tree::LeafPair> b) {
-              ASSERT_LE(b.size(), 7u);
-              ASSERT_FALSE(b.empty());
-              batched.insert(batched.end(), b.begin(), b.end());
-              ++batches;
-            });
-        ASSERT_EQ(batched.size(), materialized.size());
-        for (std::size_t k = 0; k < batched.size(); ++k) {
-          ASSERT_EQ(batched[k].a, materialized[k].a);
-          ASSERT_EQ(batched[k].b, materialized[k].b);
-        }
-        EXPECT_EQ(batches, (materialized.size() + 6) / 7);
 
         // Canonical and duplicate-free.
         std::set<std::pair<std::int32_t, std::int32_t>> seen;
-        for (const auto& lp : batched) {
+        for (const auto& lp : list) {
           ASSERT_LE(lp.a, lp.b);
           ASSERT_TRUE(seen.insert({lp.a, lp.b}).second);
         }
@@ -332,7 +312,7 @@ TEST(DomainVerletSkin, ForcesBitIdenticalToAlwaysRebuildAtOneThread) {
                                         ax.data(), ay.data(), az.data(),
                                         static_cast<std::size_t>(n)};
     gravity::run_pp_short(q, arrays, dom.all(),
-                          PairSource::streamed(dom, cutoff), poly, ppopt);
+                          dom.pairs(cutoff), poly, ppopt);
   };
 
   bool saw_reuse = false, saw_rebuild_after_reuse = false;
@@ -374,7 +354,7 @@ TEST(DomainEdgeCases, EmptyAndSingleSpecies) {
   InteractionDomain dom(make_options(10.0, 8));
   dom.update(std::vector<Vec3d>{});
   EXPECT_TRUE(dom.ready());
-  EXPECT_TRUE(dom.interacting_pairs(1.0).empty());
+  EXPECT_TRUE(dom.pairs(1.0).empty());
   EXPECT_EQ(dom.all().n_leaves, 0u);
 
   const auto pos = random_positions(40, 10.0, 31);

@@ -98,7 +98,7 @@ TEST_F(EventSchemaTest, EveryEventCarriesTypeStepAndTheMetricsSnapshot) {
   // (the runner-registered keys are backend-independent, so they are the
   // ones check_events.py requires on every step event).
   const std::vector<std::string> required_metrics = {
-      "tree.builds",      "tree.reuses",     "tree.build_s",
+      "tree.builds",      "tree.reuses",
       "sched.pm_s",       "sched.short_s",   "sched.overlap_s",
       "step.wall_s.count", "step.wall_s.sum", "step.wall_s.p50",
       "step.wall_s.p95",  "step.wall_s.p99", "step.da.count",
@@ -121,6 +121,10 @@ TEST_F(EventSchemaTest, EveryEventCarriesTypeStepAndTheMetricsSnapshot) {
       EXPECT_TRUE(has_key(line, "a")) << line;
       EXPECT_TRUE(has_key(line, "wall_s")) << line;
       EXPECT_TRUE(has_key(line, "phases")) << line;
+      // The tree wall is written once, as phases.tree.
+      EXPECT_TRUE(has_key(line, "tree")) << line;
+      EXPECT_FALSE(has_key(line, "tree_s")) << line;
+      EXPECT_FALSE(has_key(line, "tree.build_s")) << line;
     } else if (type == "checkpoint") {
       ++checkpoint_events;
       EXPECT_TRUE(has_key(line, "file")) << line;

@@ -5,7 +5,7 @@
 // Contract (docs/CONCURRENCY.md): a run's final state is bit-identical at
 // any thread count.  The PM mesh pipeline (CIC/FFT/gradient), tree build,
 // FMM passes and the kick/drift updates are deterministic by construction,
-// and the production pair driver (sph/native.hpp) — short-range P-P and
+// and the production pair driver (pairs/native.hpp) — short-range P-P and
 // every SPH pair kernel — sums each particle's contributions on the one
 // worker that owns its leaf, in the canonical walk order, and commits the
 // sum in a single write.  No float sum depends on the dynamic chunk

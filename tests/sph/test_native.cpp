@@ -1,7 +1,8 @@
-// The native pair driver (sph/native.hpp), the production path of all six
-// pair kernels: its cutoff prefilter must be exact (bitwise equal to handing
-// every listed pair to interact), its result must not depend on the thread
-// count, and it counts only the interact calls it makes.  Its physics is
+// The native pair driver (pairs/native.hpp), the production path of all six
+// pair kernels: its partner lists keep the walk order, its cutoff prefilter
+// must be exact (bitwise equal to handing every listed pair to interact),
+// its result must not depend on the thread count, and it counts only the
+// interact calls it makes.  Its physics is
 // held to the study variants' checks elsewhere: the NativeDriver
 // instantiation of VariantEquivalence (test_variants.cpp) and
 // PpShortKernel.MatchesBruteForceReference (test_pm.cpp).
@@ -15,7 +16,7 @@
 
 #include "gas_fixture.hpp"
 #include "gravity/pp_short.hpp"
-#include "sph/native.hpp"
+#include "pairs/native.hpp"
 #include "sph/pipeline.hpp"
 #include "tree/rcb.hpp"
 #include "util/rng.hpp"
@@ -23,6 +24,7 @@
 namespace hacc::sph {
 namespace {
 
+using pairs::ScopedUnfilteredNativePairs;
 using testing::GasOptions;
 using testing::make_gas;
 using xsycl::CommVariant;
@@ -83,6 +85,20 @@ TEST(NativeDriver, IsTheDefaultVariant) {
   EXPECT_EQ(v, CommVariant::kNative);
   // Not a study variant: the enumerations behind the figures exclude it.
   for (const CommVariant s : xsycl::kAllVariants) EXPECT_NE(s, CommVariant::kNative);
+}
+
+// Pair (a, b) is listed under a and under b, a self pair once, and every
+// row keeps the order of the pair list.
+TEST(LeafPartners, ListsEachPairUnderBothLeavesInWalkOrder) {
+  const std::vector<tree::LeafPair> walk = {{0, 0}, {0, 2}, {1, 1}, {0, 1},
+                                            {2, 2}, {1, 3}, {2, 3}};
+  const pairs::LeafPartners csr = pairs::LeafPartners::build(5, walk);
+  EXPECT_EQ(csr.offsets, (std::vector<std::int32_t>{0, 3, 6, 9, 11, 11}));
+  EXPECT_EQ(csr.partners,
+            (std::vector<std::int32_t>{0, 2, 1,  // leaf 0
+                                       1, 0, 3,  // leaf 1
+                                       0, 2, 3,  // leaf 2
+                                       1, 2}));  // leaf 3; leaf 4 has none
 }
 
 // A lattice translated by a fraction of a cell and wrapped, so particles sit

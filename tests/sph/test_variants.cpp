@@ -91,7 +91,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(16, 32, 64)),
     variant_param_name);
 
-// The production pair driver (sph/native.hpp) must pass the same checks.
+// The production pair driver (pairs/native.hpp) must pass the same checks.
 // It emulates no sub-group, so one sub-group size covers it.
 INSTANTIATE_TEST_SUITE_P(
     NativeDriver, VariantEquivalence,

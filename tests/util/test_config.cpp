@@ -148,5 +148,17 @@ TEST(Config, UnreadKeysAreThoseNoAccessorRead) {
   EXPECT_EQ(c.unread_keys(), (std::vector<std::string>{"later"}));
 }
 
+TEST(Config, UnknownKeysReportNamesEachUnreadKey) {
+  Config c;
+  const char* argv[] = {"np=4", "stpes=1", "box=9"};
+  c.apply_overrides(3, argv);
+  c.get_int("np", 0);
+  EXPECT_EQ(c.unknown_keys_report("quickstart"),
+            "quickstart: unknown key 'box'\nquickstart: unknown key 'stpes'\n");
+  c.get_double("box", 0.0);
+  c.get_int("stpes", 0);
+  EXPECT_EQ(c.unknown_keys_report("quickstart"), "");
+}
+
 }  // namespace
 }  // namespace hacc::util
