@@ -3,10 +3,8 @@
 // gradient mode, a spectral-vs-fd4-vs-fd6 accuracy table against an
 // all-pairs minimum-image reference, the short-range polynomial order sweep
 // (the HACC_CUDA_POLY_ORDER design choice), and split-force accuracy.  The
-// phase breakdown and accuracy rows are also emitted as BENCH_pm.json so
-// later PRs have a perf trajectory to compare against.
+// tables are printed only; perfbench/ is the performance record.
 
-#include <cstdlib>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -124,7 +122,7 @@ void BM_PolyFit(benchmark::State& state) {
 BENCHMARK(BM_PolyFit)->DenseRange(2, 7);
 
 // ---------------------------------------------------------------------------
-// Figure output: PM phase breakdown + gradient accuracy table + BENCH_pm.json
+// Figure output: PM phase breakdown + gradient accuracy table
 
 struct PmRun {
   gravity::PmPhaseTimes times;
@@ -214,75 +212,6 @@ void gradient_accuracy(util::ThreadPool& pool, AccuracyRow rows[3]) {
   }
 }
 
-struct ThreadPoint {
-  int threads = 1;
-  double total_ms = 0.0;  // best spectral 128^3 solve on that pool width
-};
-
-void write_bench_json(const PmRun runs[3], const AccuracyRow rows[3],
-                      const std::vector<ThreadPoint>& thread_sweep,
-                      unsigned threads) {
-  const char* path = std::getenv("HACC_BENCH_JSON");
-  if (path == nullptr) path = "BENCH_pm.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_gravity: cannot write %s\n", path);
-    return;
-  }
-  const char* names[3] = {"spectral", "fd4", "fd6"};
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"pm_solve\",\n");
-  std::fprintf(f, "  \"grid\": %d,\n  \"particles\": 4096,\n  \"box\": %.1f,\n",
-               kBreakdownGrid, kBox);
-  std::fprintf(f, "  \"threads\": %u,\n", threads);
-  std::fprintf(f, "  \"threads_sweep\": [\n");
-  for (std::size_t i = 0; i < thread_sweep.size(); ++i) {
-    std::fprintf(f, "    {\"threads\": %d, \"spectral_total_ms\": %.3f}%s\n",
-                 thread_sweep[i].threads, thread_sweep[i].total_ms,
-                 i + 1 < thread_sweep.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"gradients\": {\n");
-  for (int g = 0; g < 3; ++g) {
-    const auto& t = runs[g].times;
-    std::fprintf(f,
-                 "    \"%s\": {\"deposit_ms\": %.3f, \"forward_ms\": %.3f, "
-                 "\"green_ms\": %.3f, \"inverse_ms\": %.3f, \"gradient_ms\": %.3f, "
-                 "\"interp_ms\": %.3f, \"total_ms\": %.3f}%s\n",
-                 names[g], t.deposit * 1e3, t.forward * 1e3, t.green * 1e3,
-                 t.inverse * 1e3, t.gradient * 1e3, t.interp * 1e3,
-                 runs[g].best_total * 1e3, g < 2 ? "," : "");
-  }
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"accuracy_16cubed_grid32\": {\n");
-  std::fprintf(f, "    \"reference\": \"all-pairs minimum-image Newton\",\n");
-  for (int g = 0; g < 3; ++g) {
-    std::fprintf(f, "    \"%s\": {\"pm_pp_vs_allpairs_rel_rms\": %.3e, "
-                 "\"pm_vs_spectral_rel_rms\": %.3e}%s\n",
-                 names[g], rows[g].vs_allpairs, rows[g].vs_spectral,
-                 g < 2 ? "," : "");
-  }
-  // The pre-refactor PM solve at the same size on the same machine, injected
-  // by whoever runs the bench for the record (not measurable from this
-  // binary once the old path is gone).
-  if (const char* base = std::getenv("HACC_PM_BASELINE_128_MS")) {
-    const double base_ms = std::atof(base);
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"baseline_pre_pr_ms\": %.1f,\n", base_ms);
-    std::fprintf(f, "  \"speedup_vs_baseline\": {");
-    for (int g = 0; g < 3; ++g) {
-      std::fprintf(f, "\"%s\": %.2f%s", names[g],
-                   base_ms / (runs[g].best_total * 1e3), g < 2 ? ", " : "");
-    }
-    std::fprintf(f, "}\n");
-  } else {
-    std::fprintf(f, "  }\n");
-  }
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path);
-}
-
 void print_summary() {
   util::ThreadPool pool;
 
@@ -301,7 +230,7 @@ void print_summary() {
                 t.green * 1e3, t.inverse * 1e3, t.gradient * 1e3, t.interp * 1e3,
                 runs[g].best_total * 1e3);
   }
-  std::printf("\nspectral runs 1 r2c + 4 c2r half-spectrum transforms; fd4/fd6 run\n"
+  std::printf("\nspectral runs 1 r2c + 3 c2r half-spectrum transforms; fd4/fd6 run\n"
               "1 r2c + 1 c2r + a finite-difference gradient (the one-FFT path).\n");
 
   hacc::bench::print_header("PM gradient accuracy (16^3 particles, grid 32^3)");
@@ -315,19 +244,13 @@ void print_summary() {
   }
 
   hacc::bench::print_header("PM solve thread scaling (grid 128^3, spectral)");
-  std::vector<ThreadPoint> thread_sweep;
   for (const int n_threads : {1, 2, 4, 8}) {
     util::ThreadPool tp(static_cast<unsigned>(n_threads));
-    ThreadPoint pt;
-    pt.threads = n_threads;
-    pt.total_ms =
+    const double total_ms =
         1e3 * time_pm(kBreakdownGrid, gravity::PmGradient::kSpectral, tp)
                   .best_total;
-    thread_sweep.push_back(pt);
-    std::printf("%d threads: %.2f ms\n", pt.threads, pt.total_ms);
+    std::printf("%d threads: %.2f ms\n", n_threads, total_ms);
   }
-
-  write_bench_json(runs, rows, thread_sweep, pool.size());
 
   hacc::bench::print_header("Gravity ablation: polynomial split-force accuracy");
   const gravity::SplitForce split(1.0);

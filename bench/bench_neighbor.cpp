@@ -2,8 +2,8 @@
 // tree build vs Verlet-skin reuse cost, pair-list throughput,
 // and a skin sweep over a drifting particle set showing how the rebuild
 // policy cuts the per-step tree + pairs phase.  The summary emits
-// BENCH_neighbor.json (path override: HACC_BENCH_NEIGHBOR_JSON) next to
-// BENCH_pm.json so every CI run leaves a comparable record.
+// BENCH_neighbor.json (path override: HACC_BENCH_NEIGHBOR_JSON) so every CI
+// run leaves a comparable record.
 
 #include <benchmark/benchmark.h>
 

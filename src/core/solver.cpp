@@ -664,7 +664,6 @@ StepStats Solver::step() {
     const auto it = stats.phases.find(name);
     return it == stats.phases.end() ? 0.0 : it->second;
   };
-  stats.tree_seconds = phase("tree");
   stats.pm_seconds = phase("pm");
   stats.short_range_seconds = phase("sph") + phase("fmm_build") +
                               phase("short_range") + phase("far_field");

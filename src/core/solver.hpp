@@ -191,7 +191,6 @@ struct StepStats {
   /// "pm", "short_range", ...), summed over this step's force evaluations:
   /// the one record the stage-derived fields below are computed from.
   std::map<std::string, double> phases;
-  double tree_seconds = 0.0;     ///< wall seconds in the propagator's tree stage
   double pm_seconds = 0.0;       ///< wall seconds in the propagator's pm stage
   /// Wall seconds in the tree-walk chain stages (sph + fmm build +
   /// short-range P-P + far field).

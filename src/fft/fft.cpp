@@ -61,7 +61,7 @@ void fft_1d(cplx* data, int n, bool inverse, const Twiddles& tw) {
       cplx* hi = lo + half;
       for (int k = 0; k < half; ++k) {
         const cplx u = lo[k];
-        const cplx v = hi[k] * w[k];
+        const cplx v = mul(hi[k], w[k]);
         lo[k] = u + v;
         hi[k] = u - v;
       }
@@ -180,7 +180,7 @@ void Fft3D::forward_r2c(std::span<const double> real, std::vector<cplx>& half) c
           const cplx zc = std::conj(row[n2 - k]);
           const cplx even = 0.5 * (zk + zc);
           const cplx odd = 0.5 * (zk - zc);
-          const cplx t = cplx(0.0, -1.0) * unpack_[k] * odd;
+          const cplx t = mul(mul(cplx(0.0, -1.0), unpack_[k]), odd);
           row[k] = even + t;
           row[n2 - k] = std::conj(even - t);
         }
@@ -234,7 +234,7 @@ void Fft3D::inverse_c2r(std::vector<cplx>& half, std::span<double> real) const {
         const cplx xc = std::conj(row[n2 - k]);
         const cplx a = 0.5 * (xk + xc);
         const cplx b2 = 0.5 * (xk - xc);
-        const cplx t = cplx(0.0, 1.0) * std::conj(unpack_[k]) * b2;
+        const cplx t = mul(mul(cplx(0.0, 1.0), std::conj(unpack_[k])), b2);
         row[k] = a + t;
         row[n2 - k] = std::conj(a - t);
       }

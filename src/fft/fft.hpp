@@ -27,6 +27,16 @@ namespace hacc::fft {
 
 using cplx = std::complex<double>;
 
+// Complex product (ar*br - ai*bi, ar*bi + ai*br): the arithmetic of GCC's
+// inline `a * b`, so finite operands give bitwise-equal results, minus the
+// NaN-recovery branch into __muldc3 that `a * b` puts in every hot loop.
+// Keep operand order (and any 0*x terms: they carry the signed-zero bits)
+// when rewriting a product with it.
+inline cplx mul(cplx a, cplx b) {
+  return cplx(a.real() * b.real() - a.imag() * b.imag(),
+              a.real() * b.imag() + a.imag() * b.real());
+}
+
 // True when n is a power of two and >= 2.
 bool is_pow2(int n);
 

@@ -104,14 +104,26 @@ void PmSolver::compute_forces(std::span<const util::Vec3d> pos,
   }
   const int nh = fft_.half_nz();
   const double two_pi_over_l = 2.0 * M_PI / box;
+  const double green_num = -4.0 * M_PI * opt_.G;
+  // The CIC window is separable: tabulate it once per axis, at the same
+  // frequency argument the element loop used (signed nx, ny; unsigned iz).
+  std::vector<double> win_xy(n, 1.0), win_z(nh, 1.0);
+  if (opt_.deconvolve_cic) {
+    for (int i = 0; i < n; ++i) win_xy[i] = cic_window_1d(signed_freq(i, n), n);
+    for (int iz = 0; iz < nh; ++iz) win_z[iz] = cic_window_1d(iz, n);
+  }
   // shared: phi_k_, comp_k_ (disjoint kx-plane rows per index).
   pool_->parallel_for_chunks(n, 1, [&](std::int64_t b, std::int64_t e) {
     for (std::int64_t ix = b; ix < e; ++ix) {
       const int nx = signed_freq(static_cast<int>(ix), n);
       const bool x_nyq = 2 * static_cast<int>(ix) == n;
+      const double kx = two_pi_over_l * nx;
       for (int iy = 0; iy < n; ++iy) {
         const int ny = signed_freq(iy, n);
         const bool y_nyq = 2 * iy == n;
+        const double ky = two_pi_over_l * ny;
+        const double kxy2 = kx * kx + ky * ky;
+        const double wxy = win_xy[ix] * win_xy[iy];
         const std::size_t row = (static_cast<std::size_t>(ix) * n + iy) * nh;
         for (int iz = 0; iz < nh; ++iz) {
           const std::size_t idx = row + iz;
@@ -122,24 +134,22 @@ void PmSolver::compute_forces(std::span<const util::Vec3d> pos,
             }
             continue;
           }
-          const double kx = two_pi_over_l * nx;
-          const double ky = two_pi_over_l * ny;
           const double kz = two_pi_over_l * iz;  // iz in [0, n/2]
-          const double k2 = kx * kx + ky * ky + kz * kz;
-          double green = -4.0 * M_PI * opt_.G / (k2 * cell_vol);
+          const double k2 = kxy2 + kz * kz;
+          double green = green_num / (k2 * cell_vol);
           if (opt_.r_split > 0.0) green *= split.k_filter(std::sqrt(k2));
           if (opt_.deconvolve_cic) {
-            const double w = cic_window_1d(nx, n) * cic_window_1d(ny, n) *
-                             cic_window_1d(iz, n);
+            const double w = wxy * win_z[iz];
             green /= (w * w);  // deposit + interpolation
           }
           const fft::cplx phi = green * phi_k_[idx];
           phi_k_[idx] = phi;
           if (spectral) {
             // a = -ik phi; Nyquist planes of the differentiated axis -> 0.
-            comp_k_[0][idx] = x_nyq ? fft::cplx(0.0) : fft::cplx(0.0, -kx) * phi;
-            comp_k_[1][idx] = y_nyq ? fft::cplx(0.0) : fft::cplx(0.0, -ky) * phi;
-            comp_k_[2][idx] = 2 * iz == n ? fft::cplx(0.0) : fft::cplx(0.0, -kz) * phi;
+            comp_k_[0][idx] = x_nyq ? fft::cplx(0.0) : fft::mul(fft::cplx(0.0, -kx), phi);
+            comp_k_[1][idx] = y_nyq ? fft::cplx(0.0) : fft::mul(fft::cplx(0.0, -ky), phi);
+            comp_k_[2][idx] =
+                2 * iz == n ? fft::cplx(0.0) : fft::mul(fft::cplx(0.0, -kz), phi);
           }
         }
       }
@@ -149,8 +159,10 @@ void PmSolver::compute_forces(std::span<const util::Vec3d> pos,
   times_.green = t1 - t0;
   obs::Tracer::global().record("pm.green", t0, t1);
 
+  // The spectral path reads forces straight off the three component spectra
+  // and keeps phi_k_ for potential(); only the fd paths need the real-space
+  // potential, so only they invert phi_k_ here.
   t0 = util::wtime();
-  if (potential_.n() != n) potential_ = mesh::GridD(n);
   for (auto& f : force_) {
     if (f.n() != n) f = mesh::GridD(n);
   }
@@ -158,8 +170,10 @@ void PmSolver::compute_forces(std::span<const util::Vec3d> pos,
     for (int a = 0; a < 3; ++a) {
       fft_.inverse_c2r(comp_k_[a], force_[a].data());
     }
+  } else {
+    if (potential_.n() != n) potential_ = mesh::GridD(n);
+    fft_.inverse_c2r(phi_k_, potential_.data());
   }
-  fft_.inverse_c2r(phi_k_, potential_.data());
   t1 = util::wtime();
   times_.inverse = t1 - t0;
   obs::Tracer::global().record("pm.inverse", t0, t1);
@@ -196,6 +210,17 @@ void PmSolver::compute_forces(std::span<const util::Vec3d> pos,
   m.inc(m_inverse_s_, times_.inverse);
   m.inc(m_gradient_s_, times_.gradient);
   m.inc(m_interp_s_, times_.interp);
+}
+
+const mesh::GridD& PmSolver::potential() {
+  if (opt_.gradient == PmGradient::kSpectral && !phi_k_.empty()) {
+    if (potential_.n() != opt_.grid_n) potential_ = mesh::GridD(opt_.grid_n);
+    // inverse_c2r destroys its input; comp_k_[0] is free scratch between
+    // solves (the next solve rewrites it in full).
+    comp_k_[0] = phi_k_;
+    fft_.inverse_c2r(comp_k_[0], potential_.data());
+  }
+  return potential_;
 }
 
 // Centered finite-difference gradient of the real-space potential,

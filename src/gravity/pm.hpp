@@ -10,10 +10,12 @@
 /// The density field is real, so the spectral pipeline runs on an
 /// n x n x (n/2+1) half spectrum (Hermitian symmetry) instead of full
 /// complex grids.  The force gradient is selectable: the spectral reference
-/// multiplies phi(k) by -i k_a per component (three half-spectrum inverses),
-/// while the fd4/fd6 paths inverse-transform phi once and differentiate the
-/// real-space potential with a 4th/6th-order centered stencil — trading a
-/// small, documented force error for 4x fewer inverse transforms.
+/// multiplies phi(k) by -i k_a per component (one r2c + three c2r per
+/// solve), while the fd4/fd6 paths inverse-transform phi once and
+/// differentiate the real-space potential with a 4th/6th-order centered
+/// stencil — trading a small, documented force error for 3x fewer inverse
+/// transforms.  The spectral forces never need the real-space potential, so
+/// that path keeps phi(k) and potential() inverts it on demand.
 
 #include <span>
 #include <string>
@@ -86,8 +88,11 @@ class PmSolver {
                       std::span<util::Vec3d> accel);
 
   /// The gravitational potential grid from the last compute_forces call
-  /// (diagnostics / tests).
-  const mesh::GridD& potential() const { return potential_; }
+  /// (diagnostics / tests); empty before the first call.  The fd paths
+  /// invert it during the solve; the spectral path inverts a copy of the
+  /// retained phi(k) here, on every call, and leaves the next solve's
+  /// forces untouched.
+  const mesh::GridD& potential();
 
   /// Phase timing of the last compute_forces call (bench / diagnostics).
   const PmPhaseTimes& phase_times() const { return times_; }
@@ -118,7 +123,7 @@ class PmSolver {
   mesh::GridD mass_grid_;
   std::vector<fft::cplx> phi_k_;      // half-spectrum potential
   std::vector<fft::cplx> comp_k_[3];  // half-spectrum force components (spectral)
-  mesh::GridD potential_;
+  mesh::GridD potential_;             // allocated by the fd solve or by potential()
   mesh::GridD force_[3];
 };
 

@@ -56,9 +56,9 @@ ZeldovichField ZeldovichGenerator::generate(double lattice_offset_cells) const {
         const double amp = std::sqrt((*pk_)(k) * static_cast<double>(n3) / (box * box * box));
         const fft::cplx dk = delta[idx] * amp;
         // psi(k) = i k / k^2 * delta(k)  (displacement potential gradient).
-        psi_k[0][idx] = fft::cplx(0.0, kx / k2) * dk;
-        psi_k[1][idx] = fft::cplx(0.0, ky / k2) * dk;
-        psi_k[2][idx] = fft::cplx(0.0, kz / k2) * dk;
+        psi_k[0][idx] = fft::mul(fft::cplx(0.0, kx / k2), dk);
+        psi_k[1][idx] = fft::mul(fft::cplx(0.0, ky / k2), dk);
+        psi_k[2][idx] = fft::mul(fft::cplx(0.0, kz / k2), dk);
       }
     }
   }

@@ -194,7 +194,6 @@ TEST(Solver, StepPhasesTimeEachStageOnce) {
                                          phase("far_field"));
     EXPECT_EQ(s.pm_seconds, phase("pm"));
     ASSERT_TRUE(s.phases.contains("tree"));
-    EXPECT_EQ(s.tree_seconds, s.phases.at("tree"));
   }
 }
 
@@ -272,7 +271,6 @@ TEST(Solver, SharedDomainBuildsExactlyOneTreePerForceEvaluation) {
     const auto s2 = solver.step();
     EXPECT_EQ(s2.tree_builds, 1) << to_string(backend);
     EXPECT_EQ(solver.interaction_domain().stats().builds, 3u) << to_string(backend);
-    EXPECT_GE(s2.tree_seconds, 0.0);
   }
 }
 

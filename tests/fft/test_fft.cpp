@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
 
 #include "util/rng.hpp"
 
@@ -140,6 +143,34 @@ TEST(Twiddles, TableForLargeSizeServesSmallerTransforms) {
     ASSERT_DOUBLE_EQ(a[i].real(), b[i].real());
     ASSERT_DOUBLE_EQ(a[i].imag(), b[i].imag());
   }
+}
+
+TEST(ComplexMul, MatchesStdComplexProductBitwise) {
+  // fft::mul replaces `a * b` in every hot loop; it must be the same
+  // arithmetic bit for bit, signed zeros, subnormals and overflow included.
+  const double vals[] = {0.0,  -0.0,         DBL_TRUE_MIN, -DBL_TRUE_MIN,
+                         DBL_MIN / 4.0,      1.0,          -1.0,
+                         DBL_MAX / 2.0,      -DBL_MAX / 2.0,
+                         0.3,  -2.5e-7,      1e300,        -1e-300};
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  int checked = 0;
+  for (double ar : vals) {
+    for (double ai : vals) {
+      for (double br : vals) {
+        for (double bi : vals) {
+          const cplx a(ar, ai), b(br, bi);
+          const cplx want = a * b;
+          const cplx got = mul(a, b);
+          ASSERT_EQ(bits(got.real()), bits(want.real()))
+              << "(" << ar << "," << ai << ")*(" << br << "," << bi << ")";
+          ASSERT_EQ(bits(got.imag()), bits(want.imag()))
+              << "(" << ar << "," << ai << ")*(" << br << "," << bi << ")";
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 13 * 13 * 13 * 13);
 }
 
 TEST(IsPow2, Classification) {

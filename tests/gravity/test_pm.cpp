@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
 #include "gravity/pp_short.hpp"
@@ -222,6 +224,43 @@ TEST(PmGradient, PotentialIsIdenticalAcrossGradientModes) {
   for (double v : a) max_mag = std::max(max_mag, std::abs(v));
   for (std::size_t i = 0; i < a.size(); ++i) {
     ASSERT_NEAR(a[i], b[i], 1e-12 * max_mag) << i;
+  }
+}
+
+TEST(PmGradient, QueryingTheSpectralPotentialChangesNothing) {
+  // The spectral path inverts phi(k) only when potential() asks for it, in
+  // solver workspace; that must leave the next solve's forces bit-identical
+  // and return the same grid on every call.
+  using namespace gradient_modes;
+  util::ThreadPool pool(2);
+  const double box = 10.0;
+  const Cloud first = random_cloud(200, box);
+  Cloud second = first;
+  for (auto& p : second.pos) p = {std::fmod(p.x + 1.7, box), p.y, std::fmod(p.z + 0.3, box)};
+  PmOptions opt;
+  opt.grid_n = 32;
+  opt.box = box;
+  opt.r_split = 1.25 * box / opt.grid_n;
+  PmSolver queried(opt, pool), plain(opt, pool);
+  std::vector<Vec3d> aq(first.pos.size()), ap(first.pos.size());
+
+  queried.compute_forces(first.pos, first.mass, aq);
+  const std::vector<double> phi1 = queried.potential().data();
+  const std::vector<double> phi2 = queried.potential().data();
+  ASSERT_EQ(phi1.size(), static_cast<std::size_t>(32 * 32 * 32));
+  for (std::size_t i = 0; i < phi1.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(phi1[i]), std::bit_cast<std::uint64_t>(phi2[i]))
+        << i;
+  }
+  queried.compute_forces(second.pos, second.mass, aq);
+
+  plain.compute_forces(first.pos, first.mass, ap);
+  plain.compute_forces(second.pos, second.mass, ap);
+  for (std::size_t i = 0; i < aq.size(); ++i) {
+    for (int c = 0; c < 3; ++c) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(aq[i][c]), std::bit_cast<std::uint64_t>(ap[i][c]))
+          << i << " component " << c;
+    }
   }
 }
 
