@@ -162,8 +162,6 @@ Solver::Solver(const SimConfig& cfg, util::ThreadPool& pool)
   domain::DomainOptions dopt;
   dopt.box = cfg_.box;
   dopt.leaf_size = cfg_.leaf_size;
-  dopt.skin = cfg_.domain_skin;
-  dopt.rebuild = cfg_.domain_rebuild;
   dopt.pool = pool_;  // level-parallel tree builds (bit-identical, rcb.hpp)
   domain_ = std::make_unique<domain::InteractionDomain>(dopt);
 
@@ -454,9 +452,9 @@ void Solver::run_hydro_kernels(bool corrector) {
 sched::RunResult Solver::compute_forces(bool corrector) {
   // One force evaluation = one propagator graph.  One combined-species
   // gather (dm then gas) feeds the WHOLE evaluation: the shared interaction
-  // domain builds — or Verlet-skin-reuses — exactly one tree over it, and
-  // both the SPH kernels and the short-range gravity kernels consume
-  // species-filtered views of that tree.
+  // domain builds exactly one tree over it, and both the SPH kernels and
+  // the short-range gravity kernels consume species-filtered views of that
+  // tree.
   //
   // Stage dependencies (also docs/ARCHITECTURE.md):
   //
@@ -659,7 +657,6 @@ StepStats Solver::step() {
   stats.max_velocity = max_velocity();
   stats.max_acceleration = max_acceleration();
   stats.tree_builds = static_cast<int>(domain_->stats().builds - dom0.builds);
-  stats.tree_reuses = static_cast<int>(domain_->stats().reuses - dom0.reuses);
   const auto phase = [&stats](const char* name) {
     const auto it = stats.phases.find(name);
     return it == stats.phases.end() ? 0.0 : it->second;

@@ -149,13 +149,6 @@ struct SimConfig {
   int sg_per_wg = 4;          ///< block size 128 / warp 32 (HACC_CUDA_BLOCK_SIZE)
   int leaf_size = 32;         ///< RCB tree leaf capacity
 
-  /// Interaction-domain reuse knobs (config keys domain.skin /
-  /// domain.rebuild).  Execution tuning, not physics: pair enumeration stays
-  /// exact under reuse, so — like `variants` — they are excluded from
-  /// config_signature() and may change across a restart.
-  double domain_skin = 0.0;  ///< Verlet skin; reuse while drift <= skin / 2
-  domain::RebuildPolicy domain_rebuild = domain::RebuildPolicy::kAlways;
-
   /// Step-propagator stage overlap (config key sched.overlap).  Execution
   /// tuning, not physics: the stage graph's dependency edges cover every
   /// read-after-write, so overlap changes wall-clock only — like `variants`
@@ -185,8 +178,7 @@ struct StepStats {
   double max_acceleration = 0.0; ///< max total kick acceleration |dv/dt|
   double kinetic_energy = 0.0;   ///< Σ m v²/2 (peculiar)
   double thermal_energy = 0.0;   ///< Σ m u (baryons)
-  int tree_builds = 0;           ///< shared-domain tree rebuilds this step
-  int tree_reuses = 0;           ///< Verlet-skin reuses this step
+  int tree_builds = 0;           ///< shared-domain tree builds this step
   /// Wall seconds per propagator stage name ("assemble", "tree", "sph",
   /// "pm", "short_range", ...), summed over this step's force evaluations:
   /// the one record the stage-derived fields below are computed from.
@@ -278,8 +270,8 @@ class Solver {
   /// the pool size at construction).
   bool overlap_enabled() const { return overlap_enabled_; }
 
-  /// The shared interaction domain: one tree build (or Verlet-skin reuse)
-  /// per force evaluation, consumed by SPH and gravity alike.
+  /// The shared interaction domain: one tree build per force evaluation,
+  /// consumed by SPH and gravity alike.
   const domain::InteractionDomain& interaction_domain() const {
     return *domain_;
   }

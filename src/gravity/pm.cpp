@@ -68,7 +68,14 @@ void PmSolver::compute_forces(std::span<const util::Vec3d> pos,
   const double cell_vol = (box / n) * (box / n) * (box / n);
   const SplitForce split(opt_.r_split);
   const bool spectral = opt_.gradient == PmGradient::kSpectral;
-  times_ = PmPhaseTimes{};
+  auto& metrics = obs::MetricsRegistry::global();
+  // The t0/t1 readings bracket each phase once; its trace span and its
+  // pm.<phase>_s counter are both written from them.
+  const auto record = [&metrics](const char* span, obs::MetricsRegistry::Handle h,
+                                 double t0, double t1) {
+    obs::Tracer::global().record(span, t0, t1);
+    metrics.inc(h, t1 - t0);
+  };
 
   // Density contrast source: 4 pi G (rho - rho_bar); the k=0 mode removal
   // implements the mean subtraction.  The mass -> density conversion
@@ -82,16 +89,12 @@ void PmSolver::compute_forces(std::span<const util::Vec3d> pos,
   }
   depositor_.deposit(mass_grid_, pos, mass, box);
   double t1 = util::wtime();
-  times_.deposit = t1 - t0;
-  // The t0/t1 readings already bracket each phase, so trace spans reuse
-  // them directly instead of layering RAII spans with their own clocks.
-  obs::Tracer::global().record("pm.deposit", t0, t1);
+  record("pm.deposit", m_deposit_s_, t0, t1);
 
   t0 = util::wtime();
   fft_.forward_r2c(mass_grid_.data(), phi_k_);
   t1 = util::wtime();
-  times_.forward = t1 - t0;
-  obs::Tracer::global().record("pm.forward", t0, t1);
+  record("pm.forward", m_forward_s_, t0, t1);
 
   // Green's function (and, on the spectral path, the three force spectra
   // a(k) = -i k phi(k)) on the half spectrum.  Differentiated components are
@@ -156,8 +159,7 @@ void PmSolver::compute_forces(std::span<const util::Vec3d> pos,
     }
   });
   t1 = util::wtime();
-  times_.green = t1 - t0;
-  obs::Tracer::global().record("pm.green", t0, t1);
+  record("pm.green", m_green_s_, t0, t1);
 
   // The spectral path reads forces straight off the three component spectra
   // and keeps phi_k_ for potential(); only the fd paths need the real-space
@@ -175,8 +177,7 @@ void PmSolver::compute_forces(std::span<const util::Vec3d> pos,
     fft_.inverse_c2r(phi_k_, potential_.data());
   }
   t1 = util::wtime();
-  times_.inverse = t1 - t0;
-  obs::Tracer::global().record("pm.inverse", t0, t1);
+  record("pm.inverse", m_inverse_s_, t0, t1);
 
   if (!spectral) {
     t0 = util::wtime();
@@ -186,8 +187,7 @@ void PmSolver::compute_forces(std::span<const util::Vec3d> pos,
       fd_gradient<6>();
     }
     t1 = util::wtime();
-    times_.gradient = t1 - t0;
-    obs::Tracer::global().record("pm.gradient", t0, t1);
+    record("pm.gradient", m_gradient_s_, t0, t1);
   }
 
   t0 = util::wtime();
@@ -199,17 +199,8 @@ void PmSolver::compute_forces(std::span<const util::Vec3d> pos,
         }
       });
   t1 = util::wtime();
-  times_.interp = t1 - t0;
-  obs::Tracer::global().record("pm.interp", t0, t1);
-
-  auto& m = obs::MetricsRegistry::global();
-  m.inc(m_solves_);
-  m.inc(m_deposit_s_, times_.deposit);
-  m.inc(m_forward_s_, times_.forward);
-  m.inc(m_green_s_, times_.green);
-  m.inc(m_inverse_s_, times_.inverse);
-  m.inc(m_gradient_s_, times_.gradient);
-  m.inc(m_interp_s_, times_.interp);
+  record("pm.interp", m_interp_s_, t0, t1);
+  metrics.inc(m_solves_);
 }
 
 const mesh::GridD& PmSolver::potential() {

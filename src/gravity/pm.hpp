@@ -53,19 +53,6 @@ struct PmOptions {
   PmGradient gradient = PmGradient::kSpectral;
 };
 
-/// Wall-clock breakdown of the last compute_forces call, in seconds.
-struct PmPhaseTimes {
-  double deposit = 0.0;   ///< CIC scatter of particle masses
-  double forward = 0.0;   ///< r2c forward transform
-  double green = 0.0;     ///< Green's function + force spectra on the half grid
-  double inverse = 0.0;   ///< c2r inverse transform(s)
-  double gradient = 0.0;  ///< finite-difference gradient (fd4/fd6 only)
-  double interp = 0.0;    ///< CIC gather of accelerations
-  double total() const {
-    return deposit + forward + green + inverse + gradient + interp;
-  }
-};
-
 /// The long-range Poisson solver.  Thread-compatible, not thread-safe:
 /// compute_forces parallelizes internally over the pool but works in member
 /// workspace buffers (mass/potential/force grids, half-spectrum arrays)
@@ -94,9 +81,6 @@ class PmSolver {
   /// forces untouched.
   const mesh::GridD& potential();
 
-  /// Phase timing of the last compute_forces call (bench / diagnostics).
-  const PmPhaseTimes& phase_times() const { return times_; }
-
  private:
   template <int Order>
   void fd_gradient();
@@ -105,7 +89,6 @@ class PmSolver {
   util::ThreadPool* pool_;
   fft::Fft3D fft_;
   mesh::CicDepositor depositor_;
-  PmPhaseTimes times_;
 
   // Handles into obs::MetricsRegistry::global(), interned once at
   // construction: a solve count plus accumulated per-phase seconds.  The

@@ -42,7 +42,6 @@ ScenarioRunner::ScenarioRunner(const core::SimConfig& sim, const RunOptions& opt
 
   auto& m = obs::MetricsRegistry::global();
   m_tree_builds_ = m.counter("tree.builds");
-  m_tree_reuses_ = m.counter("tree.reuses");
   m_sched_pm_s_ = m.counter("sched.pm_s");
   m_sched_short_s_ = m.counter("sched.short_s");
   m_sched_overlap_s_ = m.counter("sched.overlap_s");
@@ -368,7 +367,6 @@ void ScenarioRunner::run_diagnostics(int step) {
 void ScenarioRunner::record_step_metrics(const core::StepStats& stats) {
   auto& m = obs::MetricsRegistry::global();
   m.inc(m_tree_builds_, stats.tree_builds);
-  m.inc(m_tree_reuses_, stats.tree_reuses);
   m.inc(m_sched_pm_s_, stats.pm_seconds);
   m.inc(m_sched_short_s_, stats.short_range_seconds);
   m.inc(m_sched_overlap_s_, stats.overlap_seconds);
@@ -472,11 +470,11 @@ RunResult ScenarioRunner::run() {
                     "{\"type\":\"step\",\"step\":%d,\"a\":%.17g,\"z\":%.6f,"
                     "\"da\":%.10g,\"wall_s\":%.6f,\"ke\":%.8e,\"u\":%.8e,"
                     "\"vmax\":%.6g,\"gmax\":%.6g,\"tree_builds\":%d,"
-                    "\"tree_reuses\":%d,\"phases\":{",
+                    "\"phases\":{",
                     stats.step, stats.a1, stats.z, stats.da, stats.wall_seconds,
                     stats.kinetic_energy, stats.thermal_energy,
                     stats.max_velocity, stats.max_acceleration,
-                    stats.tree_builds, stats.tree_reuses);
+                    stats.tree_builds);
       // Per-step stage walls (not running totals); stage names are
       // lint-shaped, so they need no escaping.
       std::string line(buf);

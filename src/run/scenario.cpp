@@ -174,18 +174,6 @@ bool apply_config(const util::Config& cfg, core::SimConfig& sim,
             "' (auto | on | off)";
     return false;
   }
-  sim.domain_skin = cfg.get_double("domain.skin", sim.domain_skin);
-  if (cfg.has("domain.rebuild") &&
-      !domain::parse_rebuild_policy(cfg.get_string("domain.rebuild", ""),
-                                    sim.domain_rebuild)) {
-    error = "unknown domain.rebuild '" + cfg.get_string("domain.rebuild", "") +
-            "' (always | displacement)";
-    return false;
-  }
-  if (!(sim.domain_skin >= 0.0)) {  // NaN-robust, like the geometry checks
-    error = "invalid domain.skin (need domain.skin >= 0)";
-    return false;
-  }
   if (sim.np_side < 2 || sim.n_steps < 1 || !(sim.box > 0.0) ||
       !(sim.z_init > sim.z_final)) {
     error = "invalid geometry/stepping (need np >= 2, steps >= 1, box > 0, "

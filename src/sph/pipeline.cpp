@@ -15,17 +15,11 @@ Pipeline build_pipeline(const core::ParticleSet& p, const PipelineOptions& opt) 
   domain::DomainOptions dopt;
   dopt.box = opt.hydro.box;
   dopt.leaf_size = opt.leaf_size;
-  dopt.skin = opt.skin;
-  dopt.rebuild = opt.rebuild;
   pipe.domain = std::make_unique<domain::InteractionDomain>(dopt);
-  update_pipeline(pipe, p);
-  return pipe;
-}
-
-void update_pipeline(Pipeline& pipe, const core::ParticleSet& p) {
   pipe.cutoff = support_cutoff(p);
   pipe.domain->update(p.positions());
   pipe.pairs = pipe.domain->pairs(pipe.cutoff);
+  return pipe;
 }
 
 void run_hydro_chain(xsycl::Queue& q, core::ParticleSet& p, const Pipeline& pipe,

@@ -6,11 +6,9 @@
 // and optionally upBarAcF -> upBarDuF (the second force evaluation, which is
 // why acceleration and energy carry two wall-clock timers in the figures).
 //
-// The pipeline owns a domain::InteractionDomain, so repeated builds over a
-// drifting particle set can reuse the tree under a Verlet skin
-// (PipelineOptions::skin / rebuild).  The solver's hot path shares one
-// domain across SPH and gravity instead (core::Solver); this standalone
-// pipeline serves the tools, tests, and workload profiles.
+// The pipeline owns its own domain::InteractionDomain.  The solver's hot
+// path shares one domain across SPH and gravity instead (core::Solver); this
+// standalone pipeline serves the tools, tests, and workload profiles.
 
 #include <memory>
 
@@ -27,8 +25,6 @@ struct PipelineOptions {
   HydroOptions hydro;
   int leaf_size = 32;
   bool corrector_pass = false;  // re-run acceleration/energy as upBarAcF/upBarDuF
-  double skin = 0.0;            // Verlet skin for cross-build reuse
-  domain::RebuildPolicy rebuild = domain::RebuildPolicy::kAlways;
 };
 
 struct Pipeline {
@@ -47,11 +43,6 @@ double support_cutoff(const core::ParticleSet& p);
 // Builds the interaction domain and leaf-pair list for the current particle
 // positions and smoothing lengths.
 Pipeline build_pipeline(const core::ParticleSet& p, const PipelineOptions& opt);
-
-// Refreshes an existing pipeline for moved particles: one domain update
-// (rebuild or Verlet-skin reuse per the pipeline's policy) plus a fresh
-// pair list at the current max smoothing length.
-void update_pipeline(Pipeline& pipe, const core::ParticleSet& p);
 
 // Runs the kernel chain on a prepared pipeline.
 void run_hydro_chain(xsycl::Queue& q, core::ParticleSet& p, const Pipeline& pipe,

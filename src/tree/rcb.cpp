@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <stdexcept>
 
 #include "util/thread_pool.hpp"
 
@@ -16,8 +15,8 @@ using util::Vec3d;
 namespace {
 
 // AABB of the slots [begin, end) under the tree permutation — the exact loop
-// the serial build runs, factored out so the level-parallel pass and refresh
-// produce bit-identical boxes.
+// the serial build runs, factored out so the level-parallel pass produces
+// bit-identical boxes.
 void scan_aabb(std::span<const Vec3d> pos, const std::vector<std::int32_t>& order,
                std::int32_t begin, std::int32_t end, Vec3d& lo, Vec3d& hi) {
   lo = Vec3d(std::numeric_limits<double>::max());
@@ -42,22 +41,18 @@ RcbTree::RcbTree(std::span<const Vec3d> pos, double box, int leaf_size,
 
 RcbTree::RcbTree(std::span<const Vec3d> pos, double box, int leaf_size,
                  util::ThreadPool* pool)
-    : box_(box), leaf_size_(std::max(1, leaf_size)), pool_(pool) {
+    : box_(box), leaf_size_(std::max(1, leaf_size)) {
   order_.resize(pos.size());
   std::iota(order_.begin(), order_.end(), 0);
   slot_leaf_.resize(pos.size());
   if (!pos.empty()) {
-    if (pool_ != nullptr) {
+    if (pool != nullptr) {
       std::vector<int> depths;
       root_ = build_topology(0, static_cast<std::int32_t>(pos.size()), 0, depths);
-      fill_levels(pos, depths);
+      fill_levels(pos, depths, *pool);
     } else {
       root_ = build(0, static_cast<std::int32_t>(pos.size()), pos);
     }
-  }
-  leaf_nodes_.resize(leaves_.size());
-  for (std::int32_t i = 0; i < static_cast<std::int32_t>(nodes_.size()); ++i) {
-    if (nodes_[i].is_leaf()) leaf_nodes_[nodes_[i].leaf] = i;
   }
 }
 
@@ -92,7 +87,8 @@ std::int32_t RcbTree::build_topology(std::int32_t begin, std::int32_t end,
 }
 
 void RcbTree::fill_levels(std::span<const Vec3d> pos,
-                          const std::vector<int>& depths) {
+                          const std::vector<int>& depths,
+                          util::ThreadPool& pool) {
   // Bucket node indices by depth, preserving index order within a level.
   int max_depth = 0;
   for (const int d : depths) max_depth = std::max(max_depth, d);
@@ -112,7 +108,7 @@ void RcbTree::fill_levels(std::span<const Vec3d> pos,
     // shared: nodes_/leaves_/order_ — each iteration owns one node: its own
     // nodes_/leaves_ entries and a slot range disjoint from every other
     // node's on this level.
-    pool_->parallel_for(static_cast<std::int64_t>(level.size()), [&](std::int64_t li) {
+    pool.parallel_for(static_cast<std::int64_t>(level.size()), [&](std::int64_t li) {
       Node& node = nodes_[level[static_cast<std::size_t>(li)]];
       scan_aabb(pos, order_, node.begin, node.end, node.lo, node.hi);
       if (node.is_leaf()) {
@@ -187,58 +183,6 @@ std::int32_t RcbTree::build(std::int32_t begin, std::int32_t end,
   nodes_[self].left = left;
   nodes_[self].right = right;
   return self;
-}
-
-void RcbTree::refresh(std::span<const Vec3d> pos) {
-  if (pos.size() != order_.size()) {
-    throw std::invalid_argument(
-        "RcbTree::refresh(): position count does not match the particle "
-        "count the tree was built from");
-  }
-  if (pool_ != nullptr) {
-    // Leaf AABBs only depend on the (fixed) permutation and the positions,
-    // so the per-leaf scans are independent; results are bit-identical to
-    // the serial sweep because each leaf runs the identical scan loop.
-    // shared: nodes_/leaves_ — each iteration owns one leaf's AABB entries;
-    // the upward merge below starts after the pool barrier.
-    pool_->parallel_for(static_cast<std::int64_t>(leaf_nodes_.size()),
-                        [&](std::int64_t li) {
-                          Node& n = nodes_[leaf_nodes_[static_cast<std::size_t>(li)]];
-                          scan_aabb(pos, order_, n.begin, n.end, n.lo, n.hi);
-                          leaves_[n.leaf].lo = n.lo;
-                          leaves_[n.leaf].hi = n.hi;
-                        });
-    // Children carry larger indices than their parents, so a reverse-index
-    // sweep sees both children before every internal node.
-    for (std::int32_t i = static_cast<std::int32_t>(nodes_.size()) - 1; i >= 0; --i) {
-      Node& n = nodes_[i];
-      if (n.is_leaf()) continue;
-      const Node& l = nodes_[n.left];
-      const Node& r = nodes_[n.right];
-      for (int a = 0; a < 3; ++a) {
-        n.lo[a] = std::min(l.lo[a], r.lo[a]);
-        n.hi[a] = std::max(l.hi[a], r.hi[a]);
-      }
-    }
-    return;
-  }
-  // Children carry larger indices than their parents, so a reverse-index
-  // sweep sees both children before every internal node.
-  for (std::int32_t i = static_cast<std::int32_t>(nodes_.size()) - 1; i >= 0; --i) {
-    Node& n = nodes_[i];
-    if (n.is_leaf()) {
-      scan_aabb(pos, order_, n.begin, n.end, n.lo, n.hi);
-      leaves_[n.leaf].lo = n.lo;
-      leaves_[n.leaf].hi = n.hi;
-    } else {
-      const Node& l = nodes_[n.left];
-      const Node& r = nodes_[n.right];
-      for (int a = 0; a < 3; ++a) {
-        n.lo[a] = std::min(l.lo[a], r.lo[a]);
-        n.hi[a] = std::max(l.hi[a], r.hi[a]);
-      }
-    }
-  }
 }
 
 double RcbTree::node_distance(const Node& a, const Node& b) const {

@@ -66,8 +66,8 @@ class RcbTree {
   RcbTree(std::span<const util::Vec3d> pos, double box, int leaf_size);
 
   // Level-parallel build on `pool`; bit-identical to the serial constructor
-  // for any thread count (see file comment).  The pool is remembered and
-  // reused by refresh() for the per-leaf AABB pass; it must outlive the tree.
+  // for any thread count (see file comment).  The pool is used only during
+  // construction.
   RcbTree(std::span<const util::Vec3d> pos, double box, int leaf_size,
           util::ThreadPool& pool);
 
@@ -82,15 +82,6 @@ class RcbTree {
 
   // Leaf index containing tree slot k.
   std::int32_t leaf_of_slot(std::int32_t k) const { return slot_leaf_[k]; }
-
-  // Re-bins moved positions into the existing leaves: keeps the permutation
-  // and topology, recomputes every leaf AABB from the current positions and
-  // propagates the boxes up the internal nodes.  Pair enumeration against
-  // the refreshed boxes stays exact for the drifted positions — the basis of
-  // the Verlet-skin reuse in domain::InteractionDomain.  `pos` must be the
-  // same particles (same count, same indexing) the tree was built from;
-  // throws std::invalid_argument on a count mismatch.
-  void refresh(std::span<const util::Vec3d> pos);
 
   // Streamed dual-tree traversal: invokes `visit(LeafPair)` for every leaf
   // pair whose bounding boxes come within `cutoff` of each other under the
@@ -130,7 +121,7 @@ class RcbTree {
                               std::vector<int>& depths);
   // Parallel-build phase 1: per-level AABB scans and median splits.
   void fill_levels(std::span<const util::Vec3d> pos,
-                   const std::vector<int>& depths);
+                   const std::vector<int>& depths, util::ThreadPool& pool);
   double node_distance(const Node& a, const Node& b) const;
 
   template <typename Visitor>
@@ -168,12 +159,10 @@ class RcbTree {
 
   double box_;
   int leaf_size_;
-  util::ThreadPool* pool_ = nullptr;  // optional; set by the parallel ctor
   std::vector<std::int32_t> order_;
   std::vector<Leaf> leaves_;
   std::vector<std::int32_t> slot_leaf_;
   std::vector<Node> nodes_;
-  std::vector<std::int32_t> leaf_nodes_;  // node index of each leaf
   std::int32_t root_ = -1;
 };
 

@@ -274,48 +274,6 @@ TEST(Solver, SharedDomainBuildsExactlyOneTreePerForceEvaluation) {
   }
 }
 
-TEST(Solver, DisplacementPolicySkipsRebuildsOnQuiescentStepsAndMatchesAlways) {
-  // An unperturbed lattice (sigma = 0) barely moves: with a Verlet skin the
-  // displacement policy must reuse the initial tree on every later force
-  // evaluation, and the physics must match the always-rebuild run.
-  SimConfig cfg = small_config();
-  cfg.np_side = 6;
-  cfg.hydro = false;
-  cfg.sigma_norm = 0.0;
-  cfg.n_steps = 2;
-  util::ThreadPool pool(1);
-
-  SimConfig reuse_cfg = cfg;
-  reuse_cfg.domain_rebuild = domain::RebuildPolicy::kDisplacement;
-  reuse_cfg.domain_skin = 0.1 * cfg.box / cfg.np_side;
-
-  Solver always(cfg, pool);
-  Solver reuse(reuse_cfg, pool);
-  always.initialize();
-  reuse.initialize();
-  int reuses = 0;
-  for (int s = 0; s < cfg.n_steps; ++s) {
-    always.step();
-    const auto stats = reuse.step();
-    reuses += stats.tree_reuses;
-  }
-  EXPECT_EQ(reuse.interaction_domain().stats().builds, 1u);
-  EXPECT_GT(reuses, 0);
-
-  const auto acc_a = always.gravity_accelerations();
-  const auto acc_r = reuse.gravity_accelerations();
-  ASSERT_EQ(acc_a.size(), acc_r.size());
-  for (std::size_t i = 0; i < acc_a.size(); ++i) {
-    EXPECT_NEAR(acc_a[i].x, acc_r[i].x, 1e-5);
-    EXPECT_NEAR(acc_a[i].y, acc_r[i].y, 1e-5);
-    EXPECT_NEAR(acc_a[i].z, acc_r[i].z, 1e-5);
-  }
-  for (std::size_t i = 0; i < always.dm().size(); ++i) {
-    EXPECT_NEAR(always.dm().x[i], reuse.dm().x[i], 1e-5);
-    EXPECT_NEAR(always.dm().vx[i], reuse.dm().vx[i], 1e-5);
-  }
-}
-
 TEST(GravityBackend, StringRoundTripThroughConfig) {
   util::Config cfg;
   for (const GravityBackend b : {GravityBackend::kPmPp, GravityBackend::kFmm,

@@ -98,7 +98,7 @@ TEST_F(EventSchemaTest, EveryEventCarriesTypeStepAndTheMetricsSnapshot) {
   // (the runner-registered keys are backend-independent, so they are the
   // ones check_events.py requires on every step event).
   const std::vector<std::string> required_metrics = {
-      "tree.builds",      "tree.reuses",
+      "tree.builds",
       "sched.pm_s",       "sched.short_s",   "sched.overlap_s",
       "step.wall_s.count", "step.wall_s.sum", "step.wall_s.p50",
       "step.wall_s.p95",  "step.wall_s.p99", "step.da.count",

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
-#include <stdexcept>
 
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -277,71 +276,6 @@ TEST(RcbStreaming, ForEachPairMatchesInteractingPairsInOrder) {
   }
 }
 
-TEST(RcbRefresh, ReboundBoxesTrackMovedParticlesAndKeepCoverageExact) {
-  const double box = 10.0;
-  const int n = 300;
-  auto pos = random_positions(n, box, 80);
-  RcbTree tree(pos, box, 16);
-
-  // Drift every particle (with wrap), keeping the original permutation.
-  util::CounterRng rng(81);
-  for (int i = 0; i < n; ++i) {
-    for (int a = 0; a < 3; ++a) {
-      pos[i][a] += 0.4 * (rng.uniform(3 * i + a) - 0.5);
-      pos[i][a] -= box * std::floor(pos[i][a] / box);
-    }
-  }
-  tree.refresh(pos);
-
-  // Refreshed leaf AABBs contain the moved particles...
-  for (const auto& leaf : tree.leaves()) {
-    for (std::int32_t k = leaf.begin; k < leaf.end; ++k) {
-      const Vec3d& p = pos[tree.order()[k]];
-      for (int a = 0; a < 3; ++a) {
-        ASSERT_GE(p[a], leaf.lo[a] - 1e-12);
-        ASSERT_LE(p[a], leaf.hi[a] + 1e-12);
-      }
-    }
-  }
-  // ...internal nodes contain their children...
-  for (const auto& node : tree.nodes()) {
-    if (node.is_leaf()) continue;
-    for (const std::int32_t child : {node.left, node.right}) {
-      for (int a = 0; a < 3; ++a) {
-        ASSERT_LE(node.lo[a], tree.nodes()[child].lo[a]);
-        ASSERT_GE(node.hi[a], tree.nodes()[child].hi[a]);
-      }
-    }
-  }
-  // ...and pair enumeration against the refreshed boxes stays exact: every
-  // close particle pair is covered by a listed leaf pair.
-  const double cutoff = 1.2;
-  std::set<std::pair<std::int32_t, std::int32_t>> listed;
-  for (const auto& lp : tree.interacting_pairs(cutoff)) listed.insert({lp.a, lp.b});
-  const auto slot_of = [&](int particle) {
-    const auto& ord = tree.order();
-    return static_cast<std::int32_t>(std::find(ord.begin(), ord.end(), particle) -
-                                     ord.begin());
-  };
-  for (int i = 0; i < n; ++i) {
-    for (int j = i; j < n; ++j) {
-      if (min_image_dist(pos[i], pos[j], box) > cutoff) continue;
-      std::int32_t la = tree.leaf_of_slot(slot_of(i));
-      std::int32_t lb = tree.leaf_of_slot(slot_of(j));
-      if (la > lb) std::swap(la, lb);
-      ASSERT_TRUE(listed.count({la, lb}))
-          << "pair (" << i << "," << j << ") missing after refresh";
-    }
-  }
-}
-
-TEST(RcbRefresh, RejectsMismatchedParticleCount) {
-  const auto pos = random_positions(50, 10.0, 82);
-  RcbTree tree(pos, 10.0, 8);
-  const auto fewer = random_positions(49, 10.0, 83);
-  EXPECT_THROW(tree.refresh(fewer), std::invalid_argument);
-}
-
 // The level-parallel build promises bitwise identity with the serial
 // constructor for any pool size: identical topology (node indexing, leaf
 // numbering, slot ranges), identical permutation, and identical AABBs —
@@ -396,26 +330,6 @@ TEST_P(RcbParallelBuild, BuildIsBitIdenticalToSerial) {
     const auto pos = random_positions(n, 10.0, 90 + n);
     const RcbTree serial(pos, 10.0, 16);
     const RcbTree parallel(pos, 10.0, 16, pool);
-    expect_trees_identical(serial, parallel);
-  }
-}
-
-TEST_P(RcbParallelBuild, RefreshIsBitIdenticalToSerial) {
-  util::ThreadPool pool(GetParam());
-  auto pos = random_positions(500, 10.0, 77);
-  RcbTree serial(pos, 10.0, 16);
-  RcbTree parallel(pos, 10.0, 16, pool);
-  util::CounterRng rng(123);
-  for (int round = 0; round < 3; ++round) {
-    for (std::size_t i = 0; i < pos.size(); ++i) {
-      for (int axis = 0; axis < 3; ++axis) {
-        pos[i][axis] += 0.2 * (rng.uniform(3 * i + axis + 1000 * round) - 0.5);
-        if (pos[i][axis] < 0.0) pos[i][axis] += 10.0;
-        if (pos[i][axis] >= 10.0) pos[i][axis] -= 10.0;
-      }
-    }
-    serial.refresh(pos);
-    parallel.refresh(pos);
     expect_trees_identical(serial, parallel);
   }
 }

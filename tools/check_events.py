@@ -53,7 +53,7 @@ from pathlib import Path
 # run_summary regardless of scenario or gravity backend.  Backend-specific
 # producers (e.g. the pm.* family) are intentionally not required here.
 REQUIRED_STEP_METRICS = [
-    "tree.builds", "tree.reuses",
+    "tree.builds",
     "sched.pm_s", "sched.short_s", "sched.overlap_s",
     "step.wall_s.count", "step.wall_s.sum",
     "step.wall_s.p50", "step.wall_s.p95", "step.wall_s.p99",
